@@ -17,7 +17,7 @@ import numpy as np
 from ._dp import edit_table
 from .errors import InputError
 from .geometry import MetricParams, Polyline, reverse
-from .sospa import ORACLE_MAX_LEN, SospaResult, _assemble, _backtrack, _power_costs
+from .sospa import ORACLE_MAX_LEN, SospaResult, _assemble, _backtrack, _costs_for, _power_costs, no_match_pays
 
 
 @dataclass
@@ -35,17 +35,27 @@ def _require_closed(line: Polyline, name: str) -> None:
         raise InputError(f"{name} must be a closed polyline")
 
 
-def cyclic_sospa(x: Polyline, y: Polyline, params: MetricParams) -> CyclicSospaResult:
+def cyclic_sospa(
+    x: Polyline, y: Polyline, params: MetricParams, *, costs: np.ndarray | None = None
+) -> CyclicSospaResult:
     """Metric between two polygons, minimized over rotations of ``y``.
 
     Each rotation is scored by the open-sequence solver on the aligned pair;
-    ties resolve to the lowest rotation index.
+    ties resolve to the lowest rotation index. ``costs`` is the power-cost
+    matrix of ``x`` against ``y``, for callers that already built it. When
+    every cost exceeds ``c**p`` by the margin of
+    :func:`~mapscore.sospa.no_match_pays`, every rotation matches nothing,
+    so the result is the empty assignment at rotation 0, found without
+    scanning.
     """
     _require_closed(x, "x")
     _require_closed(y, "y")
-    costs = _power_costs(x.points, y.points, params)
+    costs = _costs_for(x, y, params, costs)
     gap = params.unmatched_cost
     n, m = len(x), len(y)
+    if no_match_pays(costs, gap):
+        inner = _assemble([], costs, n, m, params)
+        return CyclicSospaResult(value=inner.value, best_shift_y=0, inner=inner)
     best: CyclicSospaResult | None = None
     for s in range(max(1, m)):
         shifted = np.ascontiguousarray(np.roll(costs, -s, axis=1))
@@ -89,14 +99,16 @@ def cyclic_sospa_directional_min(x: Polyline, y: Polyline, params: MetricParams)
     """Minimum of the cyclic metric over the two relative traversal directions.
 
     When ``used_reversal`` is set, ``best_shift_y`` and the inner assignment
-    refer to the reversed traversal of ``y``.
+    refer to the reversed traversal of ``y``. Both directions share one cost
+    matrix; the reversed direction reads its columns backwards.
     """
     _require_closed(x, "x")
     _require_closed(y, "y")
-    forward = cyclic_sospa(x, y, params)
+    costs = _power_costs(x.points, y.points, params)
+    forward = cyclic_sospa(x, y, params, costs=costs)
     if forward.inner.raw_power_cost == 0.0:
         return forward
-    backward = cyclic_sospa(x, reverse(y), params)
+    backward = cyclic_sospa(x, reverse(y), params, costs=costs[:, ::-1])
     if backward.value < forward.value:
         backward.used_reversal = True
         return backward

@@ -97,7 +97,10 @@ def pair_base_distance(a: Polyline, b: Polyline, params: MetricParams) -> tuple[
     Open pairs take the minimum over the two traversal directions, closed
     pairs additionally minimize over rotations. A mixed open/closed pair is
     scored as the maximal mismatch 1.0 so it is never preferred over
-    leaving both instances unmatched.
+    leaving both instances unmatched. So is a far pair, whose every point
+    cost ``d**p`` exceeds ``c**p`` by the rounding margin of
+    :func:`~mapscore.sospa.no_match_pays`: no match can pay there, and the
+    sequence solvers return the empty assignment without running the DP.
     """
     if a.closed != b.closed:
         return 1.0, False

@@ -67,11 +67,16 @@ def _require(condition: bool, path: str, message: str) -> None:
         raise SchemaError(f"{path}: {message}")
 
 
+def _is_number(value) -> bool:
+    # JSON true/false decode to bool, a subclass of int; they are not numbers here.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_points(raw, path: str) -> np.ndarray:
     _require(isinstance(raw, list) and len(raw) >= 1, path, "must be a non-empty list of [x, y] points")
     for k, pt in enumerate(raw):
         _require(
-            isinstance(pt, list) and len(pt) >= 2 and all(isinstance(v, (int, float)) for v in pt),
+            isinstance(pt, list) and len(pt) >= 2 and all(_is_number(v) for v in pt),
             f"{path}[{k}]",
             "must be a list of >= 2 numbers",
         )
@@ -92,13 +97,13 @@ def _parse_instance(raw, path: str, class_name: str, is_gt: bool) -> Instance:
     pts = _parse_points(raw["points"], f"{path}.points")
     if is_gt:
         conf = raw.get("confidence", 1.0)
-        _require(isinstance(conf, (int, float)), f"{path}.confidence", "must be a number")
+        _require(_is_number(conf), f"{path}.confidence", "must be a number")
         _require(float(conf) == 1.0, f"{path}.confidence", f"ground truth must have confidence 1.0, got {conf}")
         confidence = 1.0
     else:
         _require("confidence" in raw, path, "missing field 'confidence'")
         conf = raw["confidence"]
-        _require(isinstance(conf, (int, float)), f"{path}.confidence", "must be a number")
+        _require(_is_number(conf), f"{path}.confidence", "must be a number")
         _require(
             math.isfinite(float(conf)) and 0.0 <= float(conf) <= 1.0,
             f"{path}.confidence",
@@ -433,6 +438,8 @@ def evaluate(
         raise InputError(f"unknown metrics {sorted(unknown)}; expected subset of {METRIC_FAMILIES}")
     if unknown_class not in ("warn", "error"):
         raise InputError("unknown_class must be 'warn' or 'error'")
+    if top_k is not None and top_k < 0:
+        raise InputError(f"top_k must be >= 0, got {top_k}")
     vocab = VOCABULARY if vocabulary is None else vocabulary
 
     ap_thresholds: dict[str, tuple[float, ...]] = {}
@@ -492,17 +499,17 @@ def evaluate(
             det_mean = math.fsum(r.dap_triple[2] for r in rows) / count
             per_class_agg[name] = DapAggregate(dap_mean, loc_mean, det_mean)
         ap_per_threshold: dict[str, dict[float, float]] = {}
+        gt_total = sum(r.gt_count for r in rows)
+        if gt_total == 0 and any(family in metrics for family in _FAMILY_BASE):
+            log.warning("class %s: no ground truth at any sample; AP convention applies", name)
         for family in ("cd_ap", "fd_ap"):
             if family not in metrics:
                 continue
-            gt_total = sum(r.gt_count for r in rows)
             by_threshold = {}
             for tau in ap_thresholds[family]:
                 pooled: list[tuple[float, bool]] = []
                 for r in rows:
                     pooled.extend(r.ap_records[family][tau])
-                if gt_total == 0:
-                    log.warning("class %s: no ground truth at any sample; AP convention applies", name)
                 by_threshold[tau] = ap_from_records(pooled, gt_total)
             ap_per_threshold[family] = by_threshold
         per_class_ap[name] = ap_per_threshold

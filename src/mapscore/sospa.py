@@ -10,6 +10,7 @@ assignment sets is provided as an independent oracle.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -66,6 +67,55 @@ def _power_costs(x: np.ndarray, y: np.ndarray, params: MetricParams) -> np.ndarr
     return dists
 
 
+def _costs_for(x: Polyline, y: Polyline, params: MetricParams, costs: np.ndarray | None) -> np.ndarray:
+    if costs is None:
+        return _power_costs(x.points, y.points, params)
+    if costs.shape != (len(x), len(y)):
+        raise InputError(f"costs of shape {costs.shape} do not fit polylines of {len(x)} and {len(y)} points")
+    return costs
+
+
+def no_match_pays(costs: np.ndarray, gap: float) -> bool:
+    """True when every cost exceeds ``2 * gap`` by a margin that makes the DP match nothing.
+
+    A match trades two unmatched points, ``2 * gap``, for its cost, so in
+    exact arithmetic no match pays once every cost exceeds ``2 * gap``. The
+    DP sums in floating point, and this margin covers its rounding. The rule
+    is only applied for a normal ``gap``, so that every rounding below,
+    additions and the threshold's product alike, has a relative error of at
+    most ``u``.
+
+    Proof. Let ``N = n + m``, ``g = gap``, ``u = 2**-53``, and let
+    ``s_0 = 0``, ``s_k = fl(s_{k-1} + g)`` be the sequential gap sums that
+    fill the DP's first row and column. Say that ``fl(s_{k-2} + c) > s_k``
+    for every cost ``c`` and ``2 <= k <= N``. Then, by induction over the
+    cells, each cell ``(i, j)`` holds ``s_{i+j}``: its two gap candidates
+    give ``s_{i+j}`` and its match candidate is larger. So the backtrack
+    never finds the exact equality it needs to take a match, and it returns
+    the empty assignment. Since ``fl`` is monotone, the smallest cost ``c``
+    decides. Now bound the two sides:
+
+    - ``s_k <= k g (1 + u)**k <= 1.001 k g``, because ``N < 2**40`` for any
+      matrix that fits in memory, as ``n m >= N - 1``;
+    - ``s_k <= (s_{k-2} + g)(1 + u)**2 + g (1 + u)
+      = s_{k-2} + 2g + u (2 s_{k-2} + 3g) + u**2 (s_{k-2} + g)``;
+    - ``fl(s_{k-2} + c) >= (s_{k-2} + c)(1 - u)``, or it is infinite.
+
+    With ``s_{k-2} <= 1.001 (N - 2) g`` and ``N >= 2``, the condition holds
+    whenever ``c > 2g + 6 N u g``. The threshold below is ``g (2 + 16 N u)``
+    with two roundings, so it is at least ``2g + (16 N - 4.01) u g``, which
+    is more than that. It also overflows before the sums do, so a finite
+    ``N * threshold`` rules overflow out of the sums. Equality never
+    prunes: at ``c == 2 * gap`` a first match ties the two gaps it replaces,
+    ``0 + c == g + g``, and the backtrack breaks ties toward a match.
+    """
+    if costs.size == 0 or gap < sys.float_info.min:
+        return False
+    n, m = costs.shape
+    threshold = gap * (2.0 + (n + m) * 2.0**-49)
+    return math.isfinite((n + m) * threshold) and float(costs.min()) > threshold
+
+
 def _geometry_key(line: Polyline) -> tuple:
     return (len(line), line.points.tobytes())
 
@@ -102,11 +152,15 @@ def _assemble(
     )
 
 
-def _solve_open(x_pts: np.ndarray, y_pts: np.ndarray, params: MetricParams) -> SospaResult:
-    costs = np.ascontiguousarray(_power_costs(x_pts, y_pts, params))
-    table = edit_table(costs, params.unmatched_cost)
-    pairs = _backtrack(table, costs, params.unmatched_cost)
-    return _assemble(pairs, costs, len(x_pts), len(y_pts), params)
+def _solve_open(costs: np.ndarray, params: MetricParams) -> SospaResult:
+    n, m = costs.shape
+    gap = params.unmatched_cost
+    if no_match_pays(costs, gap):
+        return _assemble([], costs, n, m, params)
+    costs = np.ascontiguousarray(costs)
+    table = edit_table(costs, gap)
+    pairs = _backtrack(table, costs, gap)
+    return _assemble(pairs, costs, n, m, params)
 
 
 def _mirror(result: SospaResult) -> SospaResult:
@@ -114,18 +168,23 @@ def _mirror(result: SospaResult) -> SospaResult:
     return result
 
 
-def sospa(x: Polyline, y: Polyline, params: MetricParams) -> SospaResult:
+def sospa(x: Polyline, y: Polyline, params: MetricParams, *, costs: np.ndarray | None = None) -> SospaResult:
     """Sequence metric between two open polylines.
 
     Empty inputs are legal degenerate cases: with one side empty the value
     is ``((c**p / 2) * (|x| + |y|)) ** (1/p)``. The arguments are ordered
-    canonically inside, so the function is exactly symmetric.
+    canonically inside, so the function is exactly symmetric. ``costs`` is
+    the power-cost matrix of ``x`` against ``y``, for callers that already
+    built it. When every cost exceeds ``c**p``, twice the unmatched cost,
+    by the margin of :func:`no_match_pays`, the result is the empty
+    assignment, found without the DP.
     """
     _require_open(x, "x")
     _require_open(y, "y")
+    costs = _costs_for(x, y, params, costs)
     if _geometry_key(y) < _geometry_key(x):
-        return _mirror(_solve_open(y.points, x.points, params))
-    return _solve_open(x.points, y.points, params)
+        return _mirror(_solve_open(costs.T, params))
+    return _solve_open(costs, params)
 
 
 def sospa_directional_min(x: Polyline, y: Polyline, params: MetricParams) -> SospaResult:
@@ -133,7 +192,10 @@ def sospa_directional_min(x: Polyline, y: Polyline, params: MetricParams) -> Sos
 
     The forward evaluation wins ties, and ``used_reversal`` records whether
     the winning evaluation reversed one side. Closed inputs delegate to the
-    cyclic variant.
+    cyclic variant. Both directions share one cost matrix; the reversed
+    direction reads its columns backwards. A far pair, whose every point
+    cost exceeds ``c**p`` by the margin of :func:`no_match_pays`, runs no DP:
+    it matches nothing in either direction, and its normalized value is 1.0.
     """
     if x.closed != y.closed:
         raise InputError("both polylines must be the same geometry kind (open or closed)")
@@ -141,10 +203,14 @@ def sospa_directional_min(x: Polyline, y: Polyline, params: MetricParams) -> Sos
         from .cyclic import cyclic_sospa_directional_min
 
         return cyclic_sospa_directional_min(x, y, params)
-    forward = sospa(x, y, params)
+    costs = _power_costs(x.points, y.points, params)
+    if no_match_pays(costs, params.unmatched_cost):
+        # Both directions match nothing, so the forward one wins the tie.
+        return _assemble([], costs, len(x), len(y), params)
+    forward = sospa(x, y, params, costs=costs)
     if forward.raw_power_cost == 0.0:
         return forward
-    backward = sospa(x, reverse(y), params)
+    backward = sospa(x, reverse(y), params, costs=costs[:, ::-1])
     if backward.value < forward.value:
         backward.used_reversal = True
         return backward

@@ -70,6 +70,22 @@ class TestEval:
         assert code == 3
         assert "confidence" in stderr
 
+    def test_negative_top_k_exits_two(self, tmp_path, capsys):
+        corpus = self.make_corpus(tmp_path, capsys)
+        code, stdout, stderr = run(capsys, "eval", "--input", str(corpus), "--metrics", "dap",
+                                   "--workers", "1", "--top-k", "-1")
+        assert code == 2
+        assert "top_k" in stderr
+        assert "mDAP" not in stdout
+
+    def test_boolean_coordinate_exits_three(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"scenes": [{"sample_id": "s", "classes": {
+            "divider": {"ground_truth": [{"points": [[0, 0], [True, 0]]}]}}}]}))
+        code, _, stderr = run(capsys, "eval", "--input", str(bad), "--workers", "1")
+        assert code == 3
+        assert "ground_truth[0].points[1]" in stderr
+
     def test_missing_file_exits_two(self, capsys):
         code, _, stderr = run(capsys, "eval", "--input", "/nonexistent/scenes.json", "--workers", "1")
         assert code == 2

@@ -1,5 +1,9 @@
+import importlib
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
+from test_sospa import C_FAR, MIN_COSTS, cost_matrix, count_fills, far_pair, fields
 
 from mapscore import (
     InputError,
@@ -12,6 +16,11 @@ from mapscore import (
     reverse,
     sospa,
 )
+from mapscore._dp import edit_backtrack, edit_table
+from mapscore.cyclic import CyclicSospaResult
+from mapscore.sospa import _assemble
+
+cyclic_module = importlib.import_module("mapscore.cyclic")
 
 
 def polygon(pts):
@@ -124,3 +133,78 @@ class TestDirectionalMin:
         hexagon = polygon([(np.cos(a), np.sin(a)) for a in np.linspace(0, 2 * np.pi, 7)[:-1]])
         res = cyclic_sospa_directional_min(hexagon, reverse(hexagon), params)
         assert res.value == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Far pairs: the rotation scan is skipped when no match can pay; the result
+# must still equal the scan run directly, bit for bit.
+
+
+def scan_run(costs, params):
+    """The rotation scan with no pruning, through edit_table, edit_backtrack and _assemble."""
+    n, m = costs.shape
+    gap = params.unmatched_cost
+    best = None
+    for s in range(m):
+        shifted = np.ascontiguousarray(np.roll(costs, -s, axis=1))
+        table = edit_table(shifted, gap)
+        if best is not None and table[n, m] >= best.inner.raw_power_cost:
+            continue
+        pairs = [tuple(pair) for pair in edit_backtrack(table, shifted, gap).tolist()]
+        result = _assemble(pairs, shifted, n, m, params)
+        if best is None or result.raw_power_cost < best.inner.raw_power_cost:
+            best = CyclicSospaResult(value=result.value, best_shift_y=s, inner=result)
+    return best
+
+
+def cyclic_fields(res):
+    return (res.value, res.best_shift_y, res.used_reversal, fields(res.inner))
+
+
+@pytest.fixture
+def fills(monkeypatch):
+    return count_fills(monkeypatch, cyclic_module)
+
+
+class TestFarPairRule:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("case", sorted(MIN_COSTS))
+    def test_cyclic_sospa_equals_direct_scan(self, p, case, fills):
+        params = MetricParams(C_FAR, p)
+        low_of, skips = MIN_COSTS[case]
+        rng = np.random.default_rng(21)
+        shapes = ((1, 1), (3, 5), (5, 3), (6, 6))
+        for n, m in shapes:
+            costs = cost_matrix(rng, n, m, low_of(n, m, params.unmatched_cost))
+            # Distinct points, so no closing point is dropped; the costs stand in for them.
+            x, y = (Polyline(np.column_stack([np.arange(k), np.zeros(k)]), True) for k in (n, m))
+            got = cyclic_sospa(x, y, params, costs=costs)
+            want = scan_run(costs, params)
+            assert cyclic_fields(got) == cyclic_fields(want)
+            assert (got.inner.matched_count, got.inner.unmatched_count) == (
+                want.inner.matched_count,
+                want.inner.unmatched_count,
+            )
+        assert len(fills) == (0 if skips else sum(m for _, m in shapes))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("spacing, skips", [(0.5, False), (1.0, False), (3.0, True)])
+    def test_directional_min_equals_direct_scan(self, p, spacing, skips, fills):
+        params = MetricParams(C_FAR, p)
+        rng = np.random.default_rng(22)
+        for n, m in ((1, 1), (3, 5), (6, 4)):
+            x, y = far_pair(rng, n, m, spacing * C_FAR, closed=True)
+            forward = scan_run(cdist(x.points, y.points) ** p, params)
+            backward = scan_run(cdist(x.points, y.points[::-1]) ** p, params)
+            backward.used_reversal = True
+            lost = forward.inner.raw_power_cost == 0.0 or not backward.value < forward.value
+            want = forward if lost else backward
+            got = cyclic_sospa_directional_min(x, y, params)
+            assert cyclic_fields(got) == cyclic_fields(want)
+            if skips:
+                assert got.best_shift_y == 0 and got.inner.matched_count == 0
+        assert (len(fills) == 0) == skips
+
+    def test_costs_must_fit_the_polygons(self):
+        with pytest.raises(InputError, match="costs"):
+            cyclic_sospa(polygon(UNIT_SQUARE), polygon([(0, 0)]), MetricParams(), costs=np.ones((1, 4)))

@@ -13,7 +13,7 @@ from mapscore import (
     save_scenes,
     synthesize_scenario,
 )
-from mapscore.dataset import scenes_to_dict
+from mapscore.dataset import scenes_from_dict, scenes_to_dict
 
 PARAMS = MetricParams(1.5, 1.0)
 
@@ -30,6 +30,10 @@ MINIMAL = {
         }
     ]
 }
+
+
+def load_scenes_from(payload):
+    return scenes_from_dict(json.loads(json.dumps(payload)))
 
 
 def write(tmp_path, payload):
@@ -74,6 +78,27 @@ class TestLoadScenes:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(SchemaError, match="not valid JSON"):
             load_scenes(path)
+
+    @pytest.mark.parametrize(
+        "field, value, path",
+        [
+            ("points", [[True, False], [4, 0]], r"predictions\[0\]\.points\[0\]"),
+            ("confidence", True, r"predictions\[0\]\.confidence"),
+        ],
+        ids=["coordinate", "confidence"],
+    )
+    def test_boolean_prediction_field_rejected(self, tmp_path, field, value, path):
+        # isinstance(True, int) holds, so a check for numbers alone would read true as 1.0.
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["scenes"][0]["classes"]["divider"]["predictions"][0][field] = value
+        with pytest.raises(SchemaError, match=r"scenes\[0\]:s0\.classes\.divider\." + path):
+            load_scenes(write(tmp_path, payload))
+
+    def test_boolean_gt_confidence_rejected(self, tmp_path):
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["scenes"][0]["classes"]["divider"]["ground_truth"][0]["confidence"] = True
+        with pytest.raises(SchemaError, match=r"ground_truth\[0\]\.confidence"):
+            load_scenes(write(tmp_path, payload))
 
     def test_round_trip(self, tmp_path):
         scenes = [synthesize_scenario("shift", 1.0, seed=k) for k in range(3)]
@@ -160,6 +185,22 @@ class TestEvaluate:
         trimmed = evaluate([scene], PARAMS, (), metrics=("dap",), workers=1,
                            top_k=len(scene.classes["divider"].ground_truth))
         assert trimmed.mdap <= full.mdap
+
+    def test_negative_top_k_rejected(self):
+        scene = synthesize_scenario("spurious_instances", 4, seed=0)
+        with pytest.raises(InputError, match="top_k"):
+            evaluate([scene], PARAMS, (), metrics=("dap",), workers=1, top_k=-1)
+
+    def test_no_ground_truth_warns_once_per_class(self, caplog):
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["scenes"][0]["classes"]["divider"]["ground_truth"] = []
+        scenes = load_scenes_from(payload)
+        configs = [ApConfig((0.5, 1.0, 1.5), "chamfer"), ApConfig((0.5, 1.0, 1.5), "frechet")]
+        with caplog.at_level("WARNING", logger="mapscore.dataset"):
+            evaluate(scenes, PARAMS, configs, metrics=("dap", "cd_ap", "fd_ap"), workers=1)
+        warnings = [r for r in caplog.records if "no ground truth" in r.getMessage()]
+        assert len(warnings) == 1
+        assert "divider" in warnings[0].getMessage()
 
     def test_invalid_sampling(self):
         with pytest.raises(InputError):

@@ -1,7 +1,9 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from mapscore import (
     InputError,
@@ -14,6 +16,11 @@ from mapscore import (
     sospa_directional_min,
     sospa_normalized,
 )
+from mapscore._dp import edit_backtrack, edit_table
+from mapscore.sospa import OrderedAssignment, _assemble, no_match_pays, normalized_from_value
+
+# The package attribute ``mapscore.sospa`` is the function, not the module.
+sospa_module = importlib.import_module("mapscore.sospa")
 
 
 def line(pts, closed=False):
@@ -215,3 +222,135 @@ class TestTriangleInequality:
             d_xz = sospa(x, z, params).value
             d_zy = sospa(z, y, params).value
             assert d_xy <= d_xz + d_zy + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Far pairs: when every point cost exceeds twice the gap by the margin of
+# no_match_pays, the solvers skip the DP. Every result must still equal the
+# DP run directly, bit for bit.
+
+# Not dyadic, so c**p / 2 rounds for p > 1.
+C_FAR = 1.3
+
+
+def dp_run(costs, params):
+    """The open solver with no pruning: edit_table, edit_backtrack and _assemble on one matrix."""
+    costs = np.ascontiguousarray(costs)
+    gap = params.unmatched_cost
+    pairs = [tuple(pair) for pair in edit_backtrack(edit_table(costs, gap), costs, gap).tolist()]
+    return _assemble(pairs, costs, costs.shape[0], costs.shape[1], params)
+
+
+def fields(res):
+    return (res.value, res.raw_power_cost, res.assignment.pairs, res.used_reversal)
+
+
+def margin(n, m, gap):
+    return gap * (2.0 + (n + m) * 2.0**-49)
+
+
+# Smallest cost of the matrix, from (n, m, gap); and whether the DP is skipped.
+MIN_COSTS = {
+    "twice_gap": (lambda n, m, g: 2.0 * g, False),
+    "ulp_above_twice_gap": (lambda n, m, g: math.nextafter(2.0 * g, math.inf), False),
+    "at_margin": (margin, False),
+    "ulp_above_margin": (lambda n, m, g: math.nextafter(margin(n, m, g), math.inf), True),
+    "far": (lambda n, m, g: 8.0 * g, True),
+}
+
+
+def cost_matrix(rng, n, m, low):
+    """Costs whose minimum is exactly ``low``; about half the entries equal it, for near-ties."""
+    costs = np.where(rng.random((n, m)) < 0.5, low, low + rng.uniform(0.0, 1.0, (n, m)))
+    costs[rng.integers(n), rng.integers(m)] = low
+    return costs
+
+
+def far_pair(rng, n, m, d0, closed=False):
+    """x at x-coordinates <= 0, y at >= d0, and the closest points exactly d0 apart."""
+    x = np.column_stack([-rng.uniform(0.0, 3.0, n), rng.uniform(-2.0, 2.0, n)])
+    y = np.column_stack([d0 + rng.uniform(0.0, 3.0, m), rng.uniform(-2.0, 2.0, m)])
+    x[0], y[0] = (0.0, 0.0), (d0, 0.0)
+    return Polyline(x, closed), Polyline(y, closed)
+
+
+def count_fills(monkeypatch, module):
+    """Record the shape of each DP table that ``module`` fills."""
+    shapes = []
+
+    def counting(costs, gap):
+        shapes.append(costs.shape)
+        return edit_table(costs, gap)
+
+    monkeypatch.setattr(module, "edit_table", counting)
+    return shapes
+
+
+@pytest.fixture
+def fills(monkeypatch):
+    return count_fills(monkeypatch, sospa_module)
+
+
+class TestFarPairRule:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("case", sorted(MIN_COSTS))
+    def test_sospa_equals_direct_dp(self, p, case, fills):
+        params = MetricParams(C_FAR, p)
+        low_of, skips = MIN_COSTS[case]
+        rng = np.random.default_rng(11)
+        for n, m in ((1, 1), (1, 4), (3, 5), (6, 4), (9, 9)):
+            costs = cost_matrix(rng, n, m, low_of(n, m, params.unmatched_cost))
+            x, y = Polyline(np.zeros((n, 2))), Polyline(np.zeros((m, 2)))
+            got = sospa(x, y, params, costs=costs)
+            if m < n:  # y sorts first, so the solver runs on the transpose and mirrors
+                want = dp_run(costs.T, params)
+                want.assignment = OrderedAssignment(tuple(sorted((j, i) for i, j in want.assignment.pairs)))
+            else:
+                want = dp_run(costs, params)
+            assert fields(got) == fields(want)
+            assert (got.matched_count, got.unmatched_count) == (want.matched_count, want.unmatched_count)
+        assert len(fills) == (0 if skips else 5)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("spacing, skips", [(0.5, False), (1.0, False), (3.0, True)])
+    def test_directional_min_equals_direct_dp(self, p, spacing, skips, fills):
+        # Closest points spacing * c apart: near, exactly at twice the gap, far.
+        params = MetricParams(C_FAR, p)
+        rng = np.random.default_rng(12)
+        for n, m in ((1, 2), (3, 5), (4, 9)):  # n < m: both directions keep x first
+            x, y = far_pair(rng, n, m, spacing * C_FAR)
+            if spacing == 1.0:
+                assert (cdist(x.points, y.points) ** p).min() == 2.0 * params.unmatched_cost
+            forward = dp_run(cdist(x.points, y.points) ** p, params)
+            backward = dp_run(cdist(x.points, y.points[::-1]) ** p, params)
+            backward.used_reversal = True
+            want = backward if forward.raw_power_cost != 0.0 and backward.value < forward.value else forward
+            got = sospa_directional_min(x, y, params)
+            assert fields(got) == fields(want)
+            if skips:
+                assert got.matched_count == 0
+                assert normalized_from_value(got.value, n, m, params) == 1.0
+        assert len(fills) == (0 if skips else 6)
+
+    @pytest.mark.parametrize(
+        "c, p", [(1e-200, 2.0), (1e-310, 1.0), (2e306, 1.0)], ids=["zero_gap", "subnormal_gap", "overflowing_sums"]
+    )
+    def test_rule_stays_off_outside_its_proof(self, c, p, fills):
+        params = MetricParams(c, p)
+        costs = np.full((2, 198), 3e306)
+        assert not no_match_pays(costs, params.unmatched_cost)
+        got = sospa(Polyline(np.zeros((2, 2))), Polyline(np.zeros((198, 2))), params, costs=costs)
+        assert fields(got) == fields(dp_run(costs, params))
+        assert len(fills) == 1
+
+    def test_empty_side_keeps_the_dp(self, fills):
+        params = MetricParams(C_FAR, 1.5)
+        y = Polyline(np.random.default_rng(13).uniform(50.0, 60.0, (4, 2)))
+        want = dp_run(np.zeros((0, 4)), params)
+        assert fields(sospa(empty(), y, params)) == fields(want)
+        assert fields(sospa_directional_min(empty(), y, params)) == fields(want)
+        assert len(fills) == 3
+
+    def test_costs_must_fit_the_polylines(self):
+        with pytest.raises(InputError, match="costs"):
+            sospa(line([(0, 0)]), line([(1, 0), (2, 0)]), MetricParams(), costs=np.ones((2, 1)))
