@@ -17,7 +17,7 @@ import numpy as np
 from ._dp import edit_table
 from .errors import InputError
 from .geometry import MetricParams, Polyline, reverse
-from .sospa import ORACLE_MAX_LEN, SospaResult, _assemble, _backtrack, _costs_for, _power_costs, no_match_pays
+from .sospa import ORACLE_MAX_LEN, SospaResult, _assemble, _backtrack, _power_costs
 
 
 @dataclass
@@ -36,26 +36,21 @@ def _require_closed(line: Polyline, name: str) -> None:
 
 
 def cyclic_sospa(
-    x: Polyline, y: Polyline, params: MetricParams, *, costs: np.ndarray | None = None
+    x: Polyline, y: Polyline, params: MetricParams, *, _costs: np.ndarray | None = None
 ) -> CyclicSospaResult:
     """Metric between two polygons, minimized over rotations of ``y``.
 
     Each rotation is scored by the open-sequence solver on the aligned pair;
-    ties resolve to the lowest rotation index. ``costs`` is the power-cost
-    matrix of ``x`` against ``y``, for callers that already built it. When
-    every cost exceeds ``c**p`` by the margin of
-    :func:`~mapscore.sospa.no_match_pays`, every rotation matches nothing,
-    so the result is the empty assignment at rotation 0, found without
-    scanning.
+    ties resolve to the lowest rotation index. ``_costs`` is private to this
+    package: the power-cost matrix of ``x`` against ``y``, passed by callers
+    that already built it. Unlike the open solver, the scan has no far-pair
+    shortcut: it fills the DP table for every rotation.
     """
     _require_closed(x, "x")
     _require_closed(y, "y")
-    costs = _costs_for(x, y, params, costs)
+    costs = _power_costs(x.points, y.points, params) if _costs is None else _costs
     gap = params.unmatched_cost
     n, m = len(x), len(y)
-    if no_match_pays(costs, gap):
-        inner = _assemble([], costs, n, m, params)
-        return CyclicSospaResult(value=inner.value, best_shift_y=0, inner=inner)
     best: CyclicSospaResult | None = None
     for s in range(max(1, m)):
         shifted = np.ascontiguousarray(np.roll(costs, -s, axis=1))
@@ -105,10 +100,10 @@ def cyclic_sospa_directional_min(x: Polyline, y: Polyline, params: MetricParams)
     _require_closed(x, "x")
     _require_closed(y, "y")
     costs = _power_costs(x.points, y.points, params)
-    forward = cyclic_sospa(x, y, params, costs=costs)
+    forward = cyclic_sospa(x, y, params, _costs=costs)
     if forward.inner.raw_power_cost == 0.0:
         return forward
-    backward = cyclic_sospa(x, reverse(y), params, costs=costs[:, ::-1])
+    backward = cyclic_sospa(x, reverse(y), params, _costs=costs[:, ::-1])
     if backward.value < forward.value:
         backward.used_reversal = True
         return backward

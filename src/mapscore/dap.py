@@ -99,8 +99,9 @@ def pair_base_distance(a: Polyline, b: Polyline, params: MetricParams) -> tuple[
     scored as the maximal mismatch 1.0 so it is never preferred over
     leaving both instances unmatched. So is a far pair, whose every point
     cost ``d**p`` exceeds ``c**p`` by the rounding margin of
-    :func:`~mapscore.sospa.no_match_pays`: no match can pay there, and the
-    sequence solvers return the empty assignment without running the DP.
+    :func:`~mapscore.sospa.no_match_pays`: no match can pay there. For an
+    open far pair the sequence solver returns the empty assignment without
+    running the DP; a closed far pair still runs the rotation scan.
     """
     if a.closed != b.closed:
         return 1.0, False

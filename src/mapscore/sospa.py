@@ -67,14 +67,6 @@ def _power_costs(x: np.ndarray, y: np.ndarray, params: MetricParams) -> np.ndarr
     return dists
 
 
-def _costs_for(x: Polyline, y: Polyline, params: MetricParams, costs: np.ndarray | None) -> np.ndarray:
-    if costs is None:
-        return _power_costs(x.points, y.points, params)
-    if costs.shape != (len(x), len(y)):
-        raise InputError(f"costs of shape {costs.shape} do not fit polylines of {len(x)} and {len(y)} points")
-    return costs
-
-
 def no_match_pays(costs: np.ndarray, gap: float) -> bool:
     """True when every cost exceeds ``2 * gap`` by a margin that makes the DP match nothing.
 
@@ -168,20 +160,20 @@ def _mirror(result: SospaResult) -> SospaResult:
     return result
 
 
-def sospa(x: Polyline, y: Polyline, params: MetricParams, *, costs: np.ndarray | None = None) -> SospaResult:
+def sospa(x: Polyline, y: Polyline, params: MetricParams, *, _costs: np.ndarray | None = None) -> SospaResult:
     """Sequence metric between two open polylines.
 
     Empty inputs are legal degenerate cases: with one side empty the value
     is ``((c**p / 2) * (|x| + |y|)) ** (1/p)``. The arguments are ordered
-    canonically inside, so the function is exactly symmetric. ``costs`` is
-    the power-cost matrix of ``x`` against ``y``, for callers that already
-    built it. When every cost exceeds ``c**p``, twice the unmatched cost,
-    by the margin of :func:`no_match_pays`, the result is the empty
-    assignment, found without the DP.
+    canonically inside, so the function is exactly symmetric. When every
+    point cost exceeds ``c**p``, twice the unmatched cost, by the margin of
+    :func:`no_match_pays`, the result is the empty assignment, found
+    without the DP. ``_costs`` is private to this package: the power-cost
+    matrix of ``x`` against ``y``, passed by callers that already built it.
     """
     _require_open(x, "x")
     _require_open(y, "y")
-    costs = _costs_for(x, y, params, costs)
+    costs = _power_costs(x.points, y.points, params) if _costs is None else _costs
     if _geometry_key(y) < _geometry_key(x):
         return _mirror(_solve_open(costs.T, params))
     return _solve_open(costs, params)
@@ -195,7 +187,8 @@ def sospa_directional_min(x: Polyline, y: Polyline, params: MetricParams) -> Sos
     cyclic variant. Both directions share one cost matrix; the reversed
     direction reads its columns backwards. A far pair, whose every point
     cost exceeds ``c**p`` by the margin of :func:`no_match_pays`, runs no DP:
-    it matches nothing in either direction, and its normalized value is 1.0.
+    :func:`sospa` matches nothing in either direction, the forward result
+    wins the tie, and its normalized value is 1.0.
     """
     if x.closed != y.closed:
         raise InputError("both polylines must be the same geometry kind (open or closed)")
@@ -204,13 +197,10 @@ def sospa_directional_min(x: Polyline, y: Polyline, params: MetricParams) -> Sos
 
         return cyclic_sospa_directional_min(x, y, params)
     costs = _power_costs(x.points, y.points, params)
-    if no_match_pays(costs, params.unmatched_cost):
-        # Both directions match nothing, so the forward one wins the tie.
-        return _assemble([], costs, len(x), len(y), params)
-    forward = sospa(x, y, params, costs=costs)
+    forward = sospa(x, y, params, _costs=costs)
     if forward.raw_power_cost == 0.0:
         return forward
-    backward = sospa(x, reverse(y), params, costs=costs[:, ::-1])
+    backward = sospa(x, reverse(y), params, _costs=costs[:, ::-1])
     if backward.value < forward.value:
         backward.used_reversal = True
         return backward

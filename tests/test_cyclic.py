@@ -1,9 +1,7 @@
-import importlib
-
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
-from test_sospa import C_FAR, MIN_COSTS, cost_matrix, count_fills, far_pair, fields
+from test_sospa import C_FAR, far_pair, fields
 
 from mapscore import (
     InputError,
@@ -19,8 +17,6 @@ from mapscore import (
 from mapscore._dp import edit_backtrack, edit_table
 from mapscore.cyclic import CyclicSospaResult
 from mapscore.sospa import _assemble
-
-cyclic_module = importlib.import_module("mapscore.cyclic")
 
 
 def polygon(pts):
@@ -136,12 +132,13 @@ class TestDirectionalMin:
 
 
 # ---------------------------------------------------------------------------
-# Far pairs: the rotation scan is skipped when no match can pay; the result
-# must still equal the scan run directly, bit for bit.
+# The directional minimum builds one cost matrix and reads the reversed
+# direction from its columns backwards; the result must equal two rotation
+# scans on their own cdist matrices, bit for bit.
 
 
 def scan_run(costs, params):
-    """The rotation scan with no pruning, through edit_table, edit_backtrack and _assemble."""
+    """The rotation scan through edit_table, edit_backtrack and _assemble."""
     n, m = costs.shape
     gap = params.unmatched_cost
     best = None
@@ -161,35 +158,11 @@ def cyclic_fields(res):
     return (res.value, res.best_shift_y, res.used_reversal, fields(res.inner))
 
 
-@pytest.fixture
-def fills(monkeypatch):
-    return count_fills(monkeypatch, cyclic_module)
-
-
-class TestFarPairRule:
+class TestSharedCostMatrix:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
-    @pytest.mark.parametrize("case", sorted(MIN_COSTS))
-    def test_cyclic_sospa_equals_direct_scan(self, p, case, fills):
-        params = MetricParams(C_FAR, p)
-        low_of, skips = MIN_COSTS[case]
-        rng = np.random.default_rng(21)
-        shapes = ((1, 1), (3, 5), (5, 3), (6, 6))
-        for n, m in shapes:
-            costs = cost_matrix(rng, n, m, low_of(n, m, params.unmatched_cost))
-            # Distinct points, so no closing point is dropped; the costs stand in for them.
-            x, y = (Polyline(np.column_stack([np.arange(k), np.zeros(k)]), True) for k in (n, m))
-            got = cyclic_sospa(x, y, params, costs=costs)
-            want = scan_run(costs, params)
-            assert cyclic_fields(got) == cyclic_fields(want)
-            assert (got.inner.matched_count, got.inner.unmatched_count) == (
-                want.inner.matched_count,
-                want.inner.unmatched_count,
-            )
-        assert len(fills) == (0 if skips else sum(m for _, m in shapes))
-
-    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
-    @pytest.mark.parametrize("spacing, skips", [(0.5, False), (1.0, False), (3.0, True)])
-    def test_directional_min_equals_direct_scan(self, p, spacing, skips, fills):
+    @pytest.mark.parametrize("spacing", [0.5, 1.0, 3.0])
+    def test_directional_min_equals_direct_scan(self, p, spacing):
+        # Closest points spacing * c apart: near, exactly at twice the gap, far.
         params = MetricParams(C_FAR, p)
         rng = np.random.default_rng(22)
         for n, m in ((1, 1), (3, 5), (6, 4)):
@@ -201,10 +174,3 @@ class TestFarPairRule:
             want = forward if lost else backward
             got = cyclic_sospa_directional_min(x, y, params)
             assert cyclic_fields(got) == cyclic_fields(want)
-            if skips:
-                assert got.best_shift_y == 0 and got.inner.matched_count == 0
-        assert (len(fills) == 0) == skips
-
-    def test_costs_must_fit_the_polygons(self):
-        with pytest.raises(InputError, match="costs"):
-            cyclic_sospa(polygon(UNIT_SQUARE), polygon([(0, 0)]), MetricParams(), costs=np.ones((1, 4)))
