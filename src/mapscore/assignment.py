@@ -73,6 +73,7 @@ def gospa_unordered_reference(x_points, y_points, params: MetricParams) -> float
     n, m = len(x_points), len(y_points)
     if n > GOSPA_MAX_SIZE or m > GOSPA_MAX_SIZE:
         raise InputError(f"point multisets larger than {GOSPA_MAX_SIZE} are not supported")
+    params.require_finite_bound(n, m)
     gap = params.unmatched_cost
     if n == 0 or m == 0:
         return (gap * (n + m)) ** (1.0 / params.exponent_p)

@@ -27,7 +27,6 @@ class ApConfig:
 
     thresholds: tuple[float, ...]
     base: str = "chamfer"
-    interpolation: str = "all_point"
 
     def __post_init__(self) -> None:
         self.thresholds = tuple(float(t) for t in self.thresholds)
@@ -39,8 +38,6 @@ class ApConfig:
             raise InputError("thresholds must be strictly increasing")
         if self.base not in AP_BASES:
             raise InputError(f"unsupported base {self.base!r}")
-        if self.interpolation != "all_point":
-            raise InputError(f"unsupported interpolation {self.interpolation!r}")
 
 
 def _point_array(line: Polyline | np.ndarray, name: str) -> np.ndarray:
@@ -70,14 +67,11 @@ def frechet_discrete(x: Polyline, y: Polyline, *, cyclic: bool = False) -> float
     a = _point_array(x, "x")
     b = _point_array(y, "y")
     dists = _cross_distances(a, b)
-    best = float(frechet_table(np.ascontiguousarray(dists))[-1, -1])
-    if cyclic:
-        for s in range(1, len(b)):
-            shifted = np.ascontiguousarray(np.roll(dists, -s, axis=1))
-            value = float(frechet_table(shifted)[-1, -1])
-            if value < best:
-                best = value
-    return best
+    if not cyclic:
+        return float(frechet_table(dists)[-1, -1])
+    m = len(b)
+    doubled = np.concatenate([dists, dists], axis=1)
+    return min(float(frechet_table(np.ascontiguousarray(doubled[:, s:s + m]))[-1, -1]) for s in range(m))
 
 
 def pair_distance(x: Polyline, y: Polyline, base: str) -> float:

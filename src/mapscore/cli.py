@@ -31,7 +31,7 @@ from .dataset import (
 )
 from .errors import InputError, SchemaError
 from .geometry import MetricParams, Polyline
-from .sospa import sospa, sospa_directional_min, sospa_normalized
+from .sospa import normalized_from_value, sospa, sospa_directional_min
 from .validation import cyclic_triangle_probe, run_all
 
 DEFAULT_CD_THRESHOLDS = (0.5, 1.0, 1.5)
@@ -160,15 +160,14 @@ def cmd_pair(args: argparse.Namespace) -> int:
         inner = both.inner
         print(f"cyclic sospa: {forward.value!r} (best shift of b: {forward.best_shift_y})")
         print(f"cyclic sospa (direction min): {both.value!r} reversed={both.used_reversal}")
-        bound = params.power_bound(len(a), len(b)) ** (1.0 / params.exponent_p)
-        print(f"normalized: {min(1.0, 2 * both.value / (bound + both.value))!r}")
+        print(f"normalized: {normalized_from_value(both.value, len(a), len(b), params)!r}")
     else:
         res = sospa(a, b, params)
         both = sospa_directional_min(a, b, params)
         inner = both
         print(f"sospa: {res.value!r} (raw power cost {res.raw_power_cost!r})")
         print(f"sospa (direction min): {both.value!r} reversed={both.used_reversal}")
-        print(f"normalized: {sospa_normalized(a, b, params)!r}")
+        print(f"normalized: {normalized_from_value(res.value, len(a), len(b), params)!r}")
     print(f"matched pairs (0-based{', one side reversed' if both.used_reversal else ''}): "
           f"{list(inner.assignment.pairs)}")
     print(f"unordered reference: {gospa_unordered_reference(a.points, b.points, params)!r}")

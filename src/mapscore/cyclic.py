@@ -3,10 +3,10 @@
 A polygon is compared as the equivalence class of its rotations. Rotating
 only one of the two sequences is sufficient to reach the global optimum, so
 the solver scans the rotations of the second argument and runs the open
-solver on each alignment; a full two-sided scan is kept as the validating
-oracle. The cyclic variant is not claimed to satisfy the triangle
-inequality. Callers wanting speed should pass the shorter polygon second:
-the scan costs O(|x| * |y|**2).
+solver on each alignment. The validating oracle runs that one-sided scan
+for every rotation of the first argument as well. The cyclic variant is not
+claimed to satisfy the triangle inequality. Callers wanting speed should
+pass the shorter polygon second: the scan costs O(|x| * |y|**2).
 """
 from __future__ import annotations
 
@@ -16,8 +16,8 @@ import numpy as np
 
 from ._dp import edit_table
 from .errors import InputError
-from .geometry import MetricParams, Polyline, reverse
-from .sospa import ORACLE_MAX_LEN, SospaResult, _assemble, _backtrack, _power_costs
+from .geometry import MetricParams, Polyline
+from .sospa import ORACLE_MAX_LEN, SospaResult, _assemble, _backtrack, _direction_min, _power_costs
 
 
 @dataclass
@@ -40,8 +40,9 @@ def cyclic_sospa(
 ) -> CyclicSospaResult:
     """Metric between two polygons, minimized over rotations of ``y``.
 
-    Each rotation is scored by the open-sequence solver on the aligned pair;
-    ties resolve to the lowest rotation index. ``_costs`` is private to this
+    Each rotation is scored by the open-sequence solver on the aligned pair,
+    read as a window of the cost matrix placed twice side by side; ties
+    resolve to the lowest rotation index. ``_costs`` is private to this
     package: the power-cost matrix of ``x`` against ``y``, passed by callers
     that already built it. Unlike the open solver, the scan has no far-pair
     shortcut: it fills the DP table for every rotation.
@@ -51,9 +52,10 @@ def cyclic_sospa(
     costs = _power_costs(x.points, y.points, params) if _costs is None else _costs
     gap = params.unmatched_cost
     n, m = len(x), len(y)
+    doubled = np.concatenate([costs, costs], axis=1)
     best: CyclicSospaResult | None = None
     for s in range(max(1, m)):
-        shifted = np.ascontiguousarray(np.roll(costs, -s, axis=1))
+        shifted = np.ascontiguousarray(doubled[:, s:s + m])
         table = edit_table(shifted, gap)
         if best is not None and table[n, m] >= best.inner.raw_power_cost:
             continue
@@ -66,26 +68,23 @@ def cyclic_sospa(
 
 
 def cyclic_sospa_twosided_oracle(x: Polyline, y: Polyline, params: MetricParams) -> CyclicSospaResult:
-    """Minimum over every rotation pair of both polygons; validation only."""
+    """Minimum over every rotation pair of both polygons; validation only.
+
+    Runs the one-sided scan of :func:`cyclic_sospa` for every rotation of
+    ``x``; the first minimum wins. ``best_shift_y`` and the inner assignment
+    refer to the winning rotation of ``x``.
+    """
     _require_closed(x, "x")
     _require_closed(y, "y")
     n, m = len(x), len(y)
     if n > ORACLE_MAX_LEN or m > ORACLE_MAX_LEN:
         raise InputError(f"oracle refuses polygons longer than {ORACLE_MAX_LEN}")
     costs = _power_costs(x.points, y.points, params)
-    gap = params.unmatched_cost
     best: CyclicSospaResult | None = None
     for sx in range(max(1, n)):
-        rolled = np.roll(costs, -sx, axis=0)
-        for sy in range(max(1, m)):
-            shifted = np.ascontiguousarray(np.roll(rolled, -sy, axis=1))
-            table = edit_table(shifted, gap)
-            if best is not None and table[n, m] >= best.inner.raw_power_cost:
-                continue
-            pairs = _backtrack(table, shifted, gap)
-            result = _assemble(pairs, shifted, n, m, params)
-            if best is None or result.raw_power_cost < best.inner.raw_power_cost:
-                best = CyclicSospaResult(value=result.value, best_shift_y=sy, inner=result)
+        result = cyclic_sospa(x, y, params, _costs=np.roll(costs, -sx, axis=0))
+        if best is None or result.inner.raw_power_cost < best.inner.raw_power_cost:
+            best = result
     assert best is not None
     return best
 
@@ -99,12 +98,4 @@ def cyclic_sospa_directional_min(x: Polyline, y: Polyline, params: MetricParams)
     """
     _require_closed(x, "x")
     _require_closed(y, "y")
-    costs = _power_costs(x.points, y.points, params)
-    forward = cyclic_sospa(x, y, params, _costs=costs)
-    if forward.inner.raw_power_cost == 0.0:
-        return forward
-    backward = cyclic_sospa(x, reverse(y), params, _costs=costs[:, ::-1])
-    if backward.value < forward.value:
-        backward.used_reversal = True
-        return backward
-    return forward
+    return _direction_min(cyclic_sospa, x, y, params)

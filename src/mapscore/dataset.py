@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import ap_from_records, match_predictions
+from .baselines import ap_from_records, match_predictions, mean_ap
 from .dap import DapAggregate, Instance, InstanceSet, dap, mdap
 from .errors import InputError, SchemaError
 from .geometry import MetricParams, Polyline, resample_equidistant
@@ -529,14 +529,11 @@ def evaluate(
     if "dap" in metrics and per_class_agg:
         means = mdap(per_class_agg)
         overall_mdap, overall_mloc, overall_mdet = means.mdap, means.mloc, means.mdet
-    mean_ap_by_family = {}
-    for family in ("cd_ap", "fd_ap"):
-        if family in metrics and ordered_classes:
-            class_means = [
-                math.fsum(per_class_ap[name][family].values()) / len(per_class_ap[name][family])
-                for name in ordered_classes
-            ]
-            mean_ap_by_family[family] = math.fsum(class_means) / len(class_means)
+    mean_ap_by_family = {
+        family: mean_ap({name: per_class_ap[name][family] for name in ordered_classes})
+        for family in ("cd_ap", "fd_ap")
+        if family in metrics and ordered_classes
+    }
 
     return EvaluationReport(
         class_reports=reports,

@@ -16,8 +16,6 @@ from .errors import InputError
 # stripping a duplicated polygon closing point.
 DUPLICATE_TOL = 1e-9
 
-BASE_METRICS = ("euclidean",)
-
 
 @dataclass
 class MetricParams:
@@ -30,15 +28,12 @@ class MetricParams:
 
     cutoff_c: float = 1.5
     exponent_p: float = 1.0
-    base_metric: str = "euclidean"
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.cutoff_c) and self.cutoff_c > 0):
             raise InputError(f"cutoff_c must be finite and > 0, got {self.cutoff_c}")
         if not (1.0 <= self.exponent_p and math.isfinite(self.exponent_p)):
             raise InputError(f"exponent_p must satisfy 1 <= p < inf, got {self.exponent_p}")
-        if self.base_metric not in BASE_METRICS:
-            raise InputError(f"unsupported base_metric {self.base_metric!r}")
 
     @property
     def unmatched_cost(self) -> float:
@@ -48,6 +43,16 @@ class MetricParams:
     def power_bound(self, n_x: int, n_y: int) -> float:
         """Cost of the empty assignment, i.e. every point unmatched."""
         return self.unmatched_cost * (n_x + n_y)
+
+    def require_finite_bound(self, n_x: int, n_y: int) -> None:
+        """Reject sizes whose doubled empty-assignment cost overflows.
+
+        The factor two keeps the DP's sequential gap sums, which exceed the
+        bound by rounding only, and the normalization's ``bound + value``
+        finite.
+        """
+        if not math.isfinite(2.0 * self.power_bound(n_x, n_y)):
+            raise InputError(f"cutoff_c={self.cutoff_c!r} overflows the metric of {n_x} + {n_y} points")
 
 
 @dataclass(eq=False)
@@ -96,16 +101,14 @@ class Polyline:
         return self.points.shape[1]
 
 
-def point_distance(a, b, params: MetricParams | None = None) -> float:
-    """Base point metric d(a, b); Euclidean for every shipped configuration."""
+def point_distance(a, b) -> float:
+    """Base point metric d(a, b): the Euclidean distance."""
     av = np.asarray(a, dtype=np.float64)
     bv = np.asarray(b, dtype=np.float64)
     if av.shape != bv.shape:
         raise InputError(f"dimension mismatch: {av.shape} vs {bv.shape}")
     if not (np.isfinite(av).all() and np.isfinite(bv).all()):
         raise InputError("point coordinates must be finite")
-    if params is not None and params.base_metric not in BASE_METRICS:
-        raise InputError(f"unsupported base_metric {params.base_metric!r}")
     return float(np.linalg.norm(av - bv))
 
 

@@ -61,6 +61,7 @@ def _require_open(line: Polyline, name: str) -> None:
 def _power_costs(x: np.ndarray, y: np.ndarray, params: MetricParams) -> np.ndarray:
     if x.shape[1] != y.shape[1]:
         raise InputError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
+    params.require_finite_bound(len(x), len(y))
     dists = cdist(x, y)
     if params.exponent_p != 1.0:
         dists = dists**params.exponent_p
@@ -179,6 +180,24 @@ def sospa(x: Polyline, y: Polyline, params: MetricParams, *, _costs: np.ndarray 
     return _solve_open(costs, params)
 
 
+def _direction_min(solve, x: Polyline, y: Polyline, params: MetricParams):
+    """The better of ``solve`` on ``y`` and on ``reverse(y)``, from one cost matrix.
+
+    ``solve`` is :func:`sospa` or :func:`~mapscore.cyclic.cyclic_sospa`. The
+    reversed direction reads the matrix's columns backwards, a zero forward
+    value skips it, and the forward result wins ties.
+    """
+    costs = _power_costs(x.points, y.points, params)
+    forward = solve(x, y, params, _costs=costs)
+    if forward.value == 0.0:
+        return forward
+    backward = solve(x, reverse(y), params, _costs=costs[:, ::-1])
+    if backward.value < forward.value:
+        backward.used_reversal = True
+        return backward
+    return forward
+
+
 def sospa_directional_min(x: Polyline, y: Polyline, params: MetricParams) -> SospaResult:
     """Minimum of the metric over the two relative traversal directions.
 
@@ -196,15 +215,7 @@ def sospa_directional_min(x: Polyline, y: Polyline, params: MetricParams) -> Sos
         from .cyclic import cyclic_sospa_directional_min
 
         return cyclic_sospa_directional_min(x, y, params)
-    costs = _power_costs(x.points, y.points, params)
-    forward = sospa(x, y, params, _costs=costs)
-    if forward.raw_power_cost == 0.0:
-        return forward
-    backward = sospa(x, reverse(y), params, _costs=costs[:, ::-1])
-    if backward.value < forward.value:
-        backward.used_reversal = True
-        return backward
-    return forward
+    return _direction_min(sospa, x, y, params)
 
 
 def normalized_from_value(value: float, n_x: int, n_y: int, params: MetricParams) -> float:

@@ -7,6 +7,7 @@ from mapscore import (
     Polyline,
     average_precision,
     chamfer,
+    cyclic_shift,
     frechet_discrete,
     mean_ap,
 )
@@ -76,6 +77,16 @@ class TestFrechet:
         rotated = line([(1, 1), (0, 1), (0, 0), (1, 0)], closed=True)
         assert frechet_discrete(square, rotated) > 0.0
         assert frechet_discrete(square, rotated, cyclic=True) == 0.0
+
+    def test_cyclic_is_the_minimum_over_rotations_of_y(self):
+        rng = np.random.default_rng(5)
+        for m in (1, 2, 3, 5, 8):
+            for _ in range(10):
+                x = Polyline(rng.uniform(-3, 3, (int(rng.integers(1, 7)), 2)), closed=True)
+                # Half-metre grid points give tied rotations.
+                y = Polyline(0.5 * rng.integers(-6, 7, (m, 2)), closed=True)
+                want = min(frechet_discrete(x, cyclic_shift(y, s)) for s in range(len(y)))
+                assert frechet_discrete(x, y, cyclic=True) == want
 
     def test_rejects_empty(self):
         with pytest.raises(InputError):

@@ -119,6 +119,12 @@ class TestPair:
         assert "warning" in stdout
         assert "1.0" in stdout
 
+    def test_overflowing_cutoff_exits_two(self, capsys):
+        code, stdout, stderr = run(capsys, "pair", "--a", "0,0;1,0", "--b", "0,1;1,1", "--cutoff", "1.7e308")
+        assert code == 2
+        assert stdout == ""
+        assert "overflows" in stderr
+
     def test_geometry_file_input(self, tmp_path, capsys):
         geom = tmp_path / "geom.json"
         geom.write_text(json.dumps({"points": [[0, 0], [1, 0]], "closed": False}))

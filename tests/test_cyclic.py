@@ -78,6 +78,23 @@ class TestTwoSidedEquivalence:
             two = cyclic_sospa_twosided_oracle(x, y, params).value
             assert one == pytest.approx(two, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_oracle_equals_open_minimum_over_rotation_pairs(self, p):
+        # The oracle runs cyclic_sospa, so check it against the open solver alone.
+        rng = np.random.default_rng(3)
+        params = MetricParams(1.5, p)
+        for n in range(1, 7):
+            for m in range(1, 7):
+                x = Polyline(rng.uniform(-2, 2, (n, 2)), closed=True)
+                y = Polyline(rng.uniform(-2, 2, (m, 2)), closed=True)
+                want = min(
+                    sospa(Polyline(cyclic_shift(x, a).points), Polyline(cyclic_shift(y, b).points), params).value
+                    for a in range(n)
+                    for b in range(m)
+                )
+                got = cyclic_sospa_twosided_oracle(x, y, params).value
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
     def test_identity(self):
         x = polygon(UNIT_SQUARE)
         assert cyclic_sospa_twosided_oracle(x, polygon(UNIT_SQUARE), MetricParams()).value == 0.0
@@ -133,8 +150,9 @@ class TestDirectionalMin:
 
 # ---------------------------------------------------------------------------
 # The directional minimum builds one cost matrix and reads the reversed
-# direction from its columns backwards; the result must equal two rotation
-# scans on their own cdist matrices, bit for bit.
+# direction from its columns backwards, and the scan reads each rotation from
+# that matrix placed twice side by side; the results must equal rotation scans
+# that roll their own cdist matrices, bit for bit.
 
 
 def scan_run(costs, params):
@@ -174,3 +192,4 @@ class TestSharedCostMatrix:
             want = forward if lost else backward
             got = cyclic_sospa_directional_min(x, y, params)
             assert cyclic_fields(got) == cyclic_fields(want)
+            assert cyclic_fields(cyclic_sospa(x, y, params)) == cyclic_fields(forward)

@@ -33,9 +33,13 @@ class TestMetricParams:
         with pytest.raises(InputError):
             MetricParams(c, p)
 
-    def test_rejects_unknown_base_metric(self):
+    def test_bound_must_stay_finite_when_doubled(self):
+        params = MetricParams(1e308, 1.0)  # unmatched cost 5e307
+        params.require_finite_bound(1, 0)
         with pytest.raises(InputError):
-            MetricParams(base_metric="manhattan")
+            params.require_finite_bound(1, 1)
+        with pytest.raises(InputError):
+            params.require_finite_bound(2, 0)
 
 
 class TestPolyline:

@@ -17,7 +17,7 @@ from mapscore import (
     sospa_normalized,
 )
 from mapscore._dp import edit_backtrack, edit_table
-from mapscore.sospa import _assemble, _solve_open, no_match_pays, normalized_from_value
+from mapscore.sospa import OrderedAssignment, _assemble, _solve_open, no_match_pays, normalized_from_value
 
 # The package attribute ``mapscore.sospa`` is the function, not the module.
 sospa_module = importlib.import_module("mapscore.sospa")
@@ -345,3 +345,40 @@ class TestFarPairRule:
         assert fields(sospa(empty(), y, params)) == fields(want)
         assert fields(sospa_directional_min(empty(), y, params)) == fields(want)
         assert len(fills) == 3
+
+
+# ---------------------------------------------------------------------------
+# Cutoffs near the float maximum: the DP's gap sums would overflow, so the
+# solvers reject the pair before they build its cost matrix.
+
+
+def points_at(count, offset):
+    return Polyline(np.column_stack([np.full(count, offset), np.arange(count, dtype=float)]))
+
+
+class TestOverflowGuard:
+    @pytest.mark.parametrize(
+        "n, m, cost, c",
+        # p = 2 keeps the coordinates and their distances finite. Unguarded, the
+        # first pair overflowed the DP's gap sums and the second the fsum.
+        [(2, 198, 3e306, math.sqrt(2e306)), (90, 110, 1e308, 1.1e154)],
+        ids=["gap_sums", "fsum"],
+    )
+    def test_public_solvers_raise(self, n, m, cost, c):
+        params = MetricParams(c, 2.0)
+        x, y = points_at(n, 0.0), points_at(m, math.sqrt(cost))
+        assert np.isfinite(cdist(x.points, y.points)).all()
+        calls = (
+            lambda: sospa(x, y, params),
+            lambda: sospa_directional_min(x, y, params),
+            lambda: assignment_cost(x, y, OrderedAssignment(()), params),
+        )
+        for call in calls:
+            with pytest.raises(InputError, match="overflows"):
+                call()
+
+    def test_unordered_reference_raises(self):
+        # 2 * gap alone is near the float maximum, so the assignment's sum overflowed.
+        params = MetricParams(1.7e308, 1.0)
+        with pytest.raises(InputError, match="overflows"):
+            gospa_unordered_reference(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[0.0, 1.0], [1.0, 1.0]]), params)
