@@ -1,9 +1,12 @@
-"""Dynamic-programming table kernels for the sequence metrics.
+"""Numeric kernels: the sequence metrics' DP tables, point distances and assignment.
 
-Both kernels fill their tables with plain sequential float arithmetic so
-that backtracking can rely on exact equality against the recurrence. The
-Python loops below are the reference. Three backends run them, chosen once
-at import; ``BACKEND`` names the one in use:
+The DP kernels fill their tables with plain sequential float arithmetic so
+that backtracking can rely on exact equality against the recurrence.
+``cross_distances`` sums squared coordinate differences in coordinate order,
+and ``assign_rows`` is the shortest augmenting path solver of scipy's
+``linear_sum_assignment``, tie order included, so neither needs scipy at
+run time. The Python loops below are the reference. Three backends run them,
+chosen once at import; ``BACKEND`` names the one in use:
 
 - ``"numba"``: the loops JIT-compiled by numba, when numba imports.
 - ``"c"``: ``_dp_kernels.c``, the same loops in C with the same additions,
@@ -17,8 +20,9 @@ at import; ``BACKEND`` names the one in use:
   times slower. A ``RuntimeWarning`` says why neither compiled backend is
   available.
 
-``edit_table``, ``edit_backtrack`` and ``frechet_table`` are bound to the
-chosen backend and take the same arguments whichever it is.
+``edit_table``, ``edit_backtrack``, ``frechet_table``, ``cross_distances``
+and ``assign_rows`` are bound to the chosen backend and take the same
+arguments whichever it is.
 """
 from __future__ import annotations
 
@@ -44,6 +48,7 @@ except ImportError:  # pragma: no cover - exercised only without numba
 
 C_SOURCE = Path(__file__).with_name("_dp_kernels.c")
 C_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+C_LIBS = ("-lm",)
 
 
 def _edit_table_py(costs: np.ndarray, gap: float) -> np.ndarray:
@@ -109,6 +114,82 @@ def _frechet_table_py(dists: np.ndarray) -> np.ndarray:
     return table
 
 
+def _cross_distances_py(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    s = np.zeros((x.shape[0], y.shape[0]))
+    for k in range(x.shape[1]):
+        t = x[:, k:k + 1] - y[:, k]
+        s = s + t * t
+    return np.sqrt(s)
+
+
+def _assign_rows_py(cost: np.ndarray) -> np.ndarray:
+    # Crouse's shortest augmenting path method as scipy's
+    # linear_sum_assignment runs it, for nr <= nc: the columns still to scan
+    # are listed in reverse, and among columns tied on the lowest path cost
+    # the scan prefers one that is still unassigned.
+    nr, nc = cost.shape
+    u = np.zeros(nr)
+    v = np.zeros(nc)
+    shortest = np.empty(nc)
+    path = np.full(nc, -1, dtype=np.int64)
+    col4row = np.full(nr, -1, dtype=np.int64)
+    row4col = np.full(nc, -1, dtype=np.int64)
+    remaining = np.empty(nc, dtype=np.int64)
+    row_seen = np.zeros(nr, dtype=np.bool_)
+    col_seen = np.zeros(nc, dtype=np.bool_)
+    for cur in range(nr):
+        min_val = 0.0
+        i = cur
+        sink = -1
+        num_remaining = nc
+        for it in range(nc):
+            remaining[it] = nc - it - 1
+            shortest[it] = np.inf
+        row_seen[:] = False
+        col_seen[:] = False
+        while sink == -1:
+            index = -1
+            lowest = np.inf
+            row_seen[i] = True
+            for it in range(num_remaining):
+                j = remaining[it]
+                r = min_val + cost[i, j] - u[i] - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
+                    lowest = shortest[j]
+                    index = it
+            min_val = lowest
+            if min_val == np.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            col_seen[j] = True
+            num_remaining -= 1
+            remaining[index] = remaining[num_remaining]
+        u[cur] += min_val
+        for k in range(nr):
+            if row_seen[k] and k != cur:
+                u[k] += min_val - shortest[col4row[k]]
+        for j in range(nc):
+            if col_seen[j]:
+                v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            k = path[j]
+            row4col[j] = k
+            previous = col4row[k]
+            col4row[k] = j
+            j = previous
+            if k == cur:
+                break
+    return col4row
+
+
 class KernelUnavailable(RuntimeError):
     """The C kernels could not be built or loaded; the message says why."""
 
@@ -117,22 +198,23 @@ def load_c_kernels(compiler: str | None) -> tuple:
     """Build ``_dp_kernels.c`` with ``compiler`` if needed and wrap it.
 
     ``compiler`` is a command line such as ``sysconfig.get_config_var("CC")``.
-    Returns ``(edit_table, edit_backtrack, frechet_table)`` with the
-    signatures of the Python loops; raises :class:`KernelUnavailable` when
-    there is no compiler, the compile fails or the library does not load.
+    Returns ``(edit_table, edit_backtrack, frechet_table, cross_distances,
+    assign_rows)`` with the signatures of the Python loops; raises
+    :class:`KernelUnavailable` when there is no compiler, the compile fails or
+    the library does not load.
     """
     command = shlex.split(compiler or "")
     if not command or shutil.which(command[0]) is None:
         raise KernelUnavailable(f"no C compiler: {compiler!r} not found")
     command += C_FLAGS
     try:
-        digest = hashlib.sha256(C_SOURCE.read_bytes() + "\0".join(command).encode()).hexdigest()[:16]
+        digest = hashlib.sha256(C_SOURCE.read_bytes() + "\0".join([*command, *C_LIBS]).encode()).hexdigest()[:16]
         library = C_SOURCE.parent / "__pycache__" / f"{C_SOURCE.stem}.{digest}.so"
         if not library.exists():
             library.parent.mkdir(exist_ok=True)
             with tempfile.TemporaryDirectory(dir=library.parent) as scratch:
                 built = os.path.join(scratch, library.name)
-                done = subprocess.run([*command, "-o", built, str(C_SOURCE)], capture_output=True, text=True)
+                done = subprocess.run([*command, "-o", built, str(C_SOURCE), *C_LIBS], capture_output=True, text=True)
                 if done.returncode != 0:
                     raise KernelUnavailable(f"compile failed: {done.stderr.strip()}")
                 os.replace(built, library)
@@ -143,43 +225,83 @@ def load_c_kernels(compiler: str | None) -> tuple:
     except OSError as exc:
         raise KernelUnavailable(f"load failed: {exc}") from exc
 
-    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    lib.edit_table.argtypes = (ptr, i64, i64, f64, ptr)
+    i64, f64 = ctypes.c_int64, ctypes.c_double
+    f64p, i64p = ctypes.POINTER(f64), ctypes.POINTER(i64)
+    lib.edit_table.argtypes = (f64p, i64, i64, f64, f64p)
     lib.edit_table.restype = None
-    lib.edit_backtrack.argtypes = (ptr, ptr, i64, i64, f64, ptr)
+    lib.edit_backtrack.argtypes = (f64p, f64p, i64, i64, f64, i64p)
     lib.edit_backtrack.restype = i64
-    lib.frechet_table.argtypes = (ptr, i64, i64, ptr)
+    lib.frechet_table.argtypes = (f64p, i64, i64, f64p)
     lib.frechet_table.restype = None
+    lib.cross_distances.argtypes = (f64p, f64p, i64, i64, i64, f64p)
+    lib.cross_distances.restype = None
+    lib.assign_rows.argtypes = (f64p, i64, i64, i64p)
+    lib.assign_rows.restype = i64
 
-    # Inputs become C-contiguous float64 (callers pass rolled copies and
-    # views) and every shape is checked here, so C never reads out of bounds.
+    # Inputs become writable C-contiguous float64 (callers pass views, and
+    # ``from_buffer`` needs a writable buffer), and every shape is checked
+    # here, so C never reads out of bounds. A pointer argument takes the
+    # ``from_buffer`` object itself, which ctypes passes by reference: that
+    # costs less than ``.ctypes.data`` or ``byref``, and on matrices of a few
+    # hundred cells the call costs more than the C work. An empty array,
+    # which ``from_buffer`` refuses, passes NULL.
+    def dense(a) -> np.ndarray:
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        return a if a.flags.writeable else a.copy()
+
+    def ref(a: np.ndarray, ctype=f64):
+        return ctype.from_buffer(a) if a.size else None
+
     def edit_table(costs: np.ndarray, gap: float) -> np.ndarray:
-        costs = np.ascontiguousarray(costs, dtype=np.float64)
+        costs = dense(costs)
         n, m = costs.shape
         table = np.empty((n + 1, m + 1))
-        lib.edit_table(costs.ctypes.data, n, m, float(gap), table.ctypes.data)
+        lib.edit_table(ref(costs), n, m, float(gap), ref(table))
         return table
 
     def edit_backtrack(table: np.ndarray, costs: np.ndarray, gap: float) -> np.ndarray:
-        costs = np.ascontiguousarray(costs, dtype=np.float64)
+        costs = dense(costs)
         n, m = costs.shape
-        table = np.ascontiguousarray(table, dtype=np.float64)
+        table = dense(table)
         if table.shape != (n + 1, m + 1):
             raise ValueError(f"table shape {table.shape} does not fit costs of shape {costs.shape}")
         out = np.empty((min(n, m), 2), dtype=np.int64)
-        count = lib.edit_backtrack(table.ctypes.data, costs.ctypes.data, n, m, float(gap), out.ctypes.data)
+        count = lib.edit_backtrack(ref(table), ref(costs), n, m, float(gap), ref(out, i64))
         return out[:count][::-1].copy()
 
     def frechet_table(dists: np.ndarray) -> np.ndarray:
-        dists = np.ascontiguousarray(dists, dtype=np.float64)
+        dists = dense(dists)
         n, m = dists.shape
         if n == 0 or m == 0:
             raise IndexError(f"frechet_table needs points on both sides, got shape {dists.shape}")
         table = np.empty((n, m))
-        lib.frechet_table(dists.ctypes.data, n, m, table.ctypes.data)
+        lib.frechet_table(ref(dists), n, m, ref(table))
         return table
 
-    return edit_table, edit_backtrack, frechet_table
+    def cross_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        x, y = dense(x), dense(y)
+        if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
+            raise ValueError(f"point arrays of shapes {x.shape} and {y.shape} are not (n, d) and (m, d)")
+        (n, d), m = x.shape, len(y)
+        out = np.empty((n, m))
+        if out.size:
+            lib.cross_distances(ref(x), ref(y), n, m, d, ref(out))
+        return out
+
+    def assign_rows(cost: np.ndarray) -> np.ndarray:
+        cost = dense(cost)
+        nr, nc = cost.shape
+        if nr > nc:
+            raise ValueError(f"assign_rows needs no more rows than columns, got shape {cost.shape}")
+        col4row = np.empty(nr, dtype=np.int64)
+        status = lib.assign_rows(ref(cost), nr, nc, ref(col4row, i64)) if nr else 0
+        if status == -2:
+            raise MemoryError(f"no memory for the assignment work arrays of shape {cost.shape}")
+        if status != 0:
+            raise ValueError("cost matrix is infeasible")
+        return col4row
+
+    return edit_table, edit_backtrack, frechet_table, cross_distances, assign_rows
 
 
 def _compiled_or_python(compiler: str | None) -> tuple[str, tuple]:
@@ -188,12 +310,12 @@ def _compiled_or_python(compiler: str | None) -> tuple[str, tuple]:
         return "c", load_c_kernels(compiler)
     except KernelUnavailable as exc:
         warnings.warn(
-            "mapscore DP kernels run as slow pure-Python loops; install numba or a C compiler "
+            "mapscore numeric kernels run as slow pure-Python loops; install numba or a C compiler "
             f"for the fast path. Reason: {exc}",
             RuntimeWarning,
             stacklevel=2,
         )
-        return "python", (_edit_table_py, _edit_backtrack_py, _frechet_table_py)
+        return "python", (_edit_table_py, _edit_backtrack_py, _frechet_table_py, _cross_distances_py, _assign_rows_py)
 
 
 if HAVE_NUMBA:
@@ -201,8 +323,12 @@ if HAVE_NUMBA:
     edit_table = njit(cache=True)(_edit_table_py)
     edit_backtrack = njit(cache=True)(_edit_backtrack_py)
     frechet_table = njit(cache=True)(_frechet_table_py)
+    cross_distances = njit(cache=True)(_cross_distances_py)
+    assign_rows = njit(cache=True)(_assign_rows_py)
 else:  # pragma: no cover - exercised only without numba
-    BACKEND, (edit_table, edit_backtrack, frechet_table) = _compiled_or_python(sysconfig.get_config_var("CC"))
+    BACKEND, (edit_table, edit_backtrack, frechet_table, cross_distances, assign_rows) = _compiled_or_python(
+        sysconfig.get_config_var("CC")
+    )
 
 
 def warmup() -> None:
@@ -214,3 +340,5 @@ def warmup() -> None:
     probe = np.zeros((2, 2))
     edit_backtrack(edit_table(probe, 1.0), probe, 1.0)
     frechet_table(probe)
+    cross_distances(probe, probe)
+    assign_rows(probe)

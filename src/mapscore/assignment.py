@@ -1,10 +1,12 @@
 """Rectangular minimum-cost partial assignment, plus the unordered set metric.
 
 ``solve_assignment`` treats leaving a row or column unassigned as free, so
-only negative entries ever drive a match. It is backed by scipy's Hungarian
-solver on the entrywise minimum with zero: extending a partial matching by
-zero-clipped pairs never changes the optimum, so the full-size solution can
-be post-filtered back to the cost-bearing pairs.
+only negative entries ever drive a match. It solves the full-size assignment
+of the entrywise minimum with zero, with the shortest augmenting path kernel
+``_dp.assign_rows`` (Crouse 2016, the method and tie order of scipy's
+``linear_sum_assignment``): extending a partial matching by zero-clipped
+pairs never changes the optimum, so the full-size solution can be
+post-filtered back to the cost-bearing pairs.
 """
 from __future__ import annotations
 
@@ -12,12 +14,25 @@ import math
 from itertools import combinations, permutations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from ._dp import assign_rows, cross_distances
 from .errors import InputError
 from .geometry import MetricParams
 
 GOSPA_MAX_SIZE = 100
+
+
+def _full_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-cost matching of every row or every column, whichever side is shorter.
+
+    Returns ``(rows, cols)`` as scipy's ``linear_sum_assignment`` does: a tall
+    matrix is solved transposed, and the pairs come back sorted by row.
+    """
+    if cost.shape[0] <= cost.shape[1]:
+        return np.arange(cost.shape[0]), assign_rows(cost)
+    col4row = assign_rows(cost.T)
+    order = np.argsort(col4row)
+    return col4row[order], order
 
 
 def solve_assignment(
@@ -38,7 +53,7 @@ def solve_assignment(
     if matrix.size == 0:
         return [], 0.0
     clipped = np.minimum(matrix, 0.0)
-    rows, cols = linear_sum_assignment(clipped)
+    rows, cols = _full_assignment(clipped)
     if include_zero_cost:
         keep = matrix[rows, cols] <= 0.0
     else:
@@ -81,8 +96,7 @@ def gospa_unordered_reference(x_points, y_points, params: MetricParams) -> float
     ys = np.asarray(y_points, dtype=np.float64).reshape(m, -1)
     if xs.shape[1] != ys.shape[1]:
         raise InputError(f"dimension mismatch: {xs.shape[1]} vs {ys.shape[1]}")
-    diff = xs[:, None, :] - ys[None, :, :]
-    powered = np.sqrt((diff * diff).sum(-1))
+    powered = cross_distances(xs, ys)
     if params.exponent_p != 1.0:
         powered = powered**params.exponent_p
     pairs, _ = solve_assignment(powered - 2.0 * gap)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dp import frechet_table
+from ._dp import cross_distances, frechet_table
 from .errors import InputError
 from .geometry import Polyline
 
@@ -50,8 +50,7 @@ def _point_array(line: Polyline | np.ndarray, name: str) -> np.ndarray:
 def _cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[1]:
         raise InputError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt((diff * diff).sum(-1))
+    return cross_distances(a, b)
 
 
 def chamfer(x: Polyline, y: Polyline) -> float:

@@ -118,12 +118,17 @@ def _parse_instance(raw, path: str, class_name: str, is_gt: bool) -> Instance:
 
 
 def scenes_from_dict(payload: dict) -> list[SceneRecord]:
-    """Validate one decoded scene document and build the records."""
+    """Validate one decoded scene document and build the records.
+
+    Every point in the document must have the dimension of the first one, so
+    that any two instances can be compared.
+    """
     _require(isinstance(payload, dict), "$", "top level must be an object")
     _require("scenes" in payload, "$", "missing field 'scenes'")
     _require(isinstance(payload["scenes"], list), "scenes", "must be a list")
     records = []
     seen_ids = set()
+    dim = None
     for idx, raw_scene in enumerate(payload["scenes"]):
         path = f"scenes[{idx}]"
         _require(isinstance(raw_scene, dict), path, "must be an object")
@@ -147,6 +152,14 @@ def scenes_from_dict(payload: dict) -> list[SceneRecord]:
                 _parse_instance(inst, f"{cpath}.predictions[{k}]", name, is_gt=False)
                 for k, inst in enumerate(raw_class.get("predictions", []))
             ]
+            for role, instances in (("ground_truth", gt), ("predictions", preds)):
+                for k, inst in enumerate(instances):
+                    dim = inst.geometry.dim if dim is None else dim
+                    _require(
+                        inst.geometry.dim == dim,
+                        f"{cpath}.{role}[{k}].points",
+                        f"points are {inst.geometry.dim}-D, but the first instance in the file has {dim}-D points",
+                    )
             classes[name] = SceneClass(ground_truth=gt, predictions=preds)
         records.append(SceneRecord(sample_id=sample_id, classes=classes))
     return records

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from ._dp import edit_backtrack, edit_table
+from ._dp import cross_distances, edit_backtrack, edit_table
 from .errors import InputError
 from .geometry import MetricParams, Polyline, reverse
 
@@ -62,7 +61,7 @@ def _power_costs(x: np.ndarray, y: np.ndarray, params: MetricParams) -> np.ndarr
     if x.shape[1] != y.shape[1]:
         raise InputError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
     params.require_finite_bound(len(x), len(y))
-    dists = cdist(x, y)
+    dists = cross_distances(x, y)
     if params.exponent_p != 1.0:
         dists = dists**params.exponent_p
     return dists

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_loads_no_scipy():
+    # The metrics run on the package's own kernels; scipy is a test-only oracle.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = "import sys, mapscore, mapscore.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestSynth:
@@ -85,6 +99,16 @@ class TestEval:
         code, _, stderr = run(capsys, "eval", "--input", str(bad), "--workers", "1")
         assert code == 3
         assert "ground_truth[0].points[1]" in stderr
+
+    def test_mixed_point_dimensions_exit_three(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"scenes": [{"sample_id": "s", "classes": {"divider": {
+            "ground_truth": [{"points": [[0, 0], [1, 0]]}],
+            "predictions": [{"confidence": 0.5, "points": [[0, 0, 0], [1, 0, 0]]}]}}}]}))
+        code, stdout, stderr = run(capsys, "eval", "--input", str(bad), "--workers", "1")
+        assert code == 3
+        assert "predictions[0].points" in stderr
+        assert "mDAP" not in stdout
 
     def test_missing_file_exits_two(self, capsys):
         code, _, stderr = run(capsys, "eval", "--input", "/nonexistent/scenes.json", "--workers", "1")

@@ -100,6 +100,20 @@ class TestLoadScenes:
         with pytest.raises(SchemaError, match=r"ground_truth\[0\]\.confidence"):
             load_scenes(write(tmp_path, payload))
 
+    @pytest.mark.parametrize("later_scene", [False, True], ids=["same-class", "later-scene"])
+    def test_mixed_point_dimensions_rejected(self, tmp_path, later_scene):
+        # Without a file-wide check a 3-D prediction against 2-D ground truth
+        # fails only once the pair is compared, with no field path.
+        payload = json.loads(json.dumps(MINIMAL))
+        if later_scene:
+            payload["scenes"].append(json.loads(json.dumps(MINIMAL["scenes"][0])))
+            payload["scenes"][1]["sample_id"] = "s1"
+        scene = payload["scenes"][-1]
+        scene["classes"]["divider"]["predictions"][0]["points"] = [[0, 0.2, 1], [4, 0.2, 1]]
+        where = r"scenes\[1\]:s1" if later_scene else r"scenes\[0\]:s0"
+        with pytest.raises(SchemaError, match=where + r"\.classes\.divider\.predictions\[0\]\.points: .*3-D.*2-D"):
+            load_scenes(write(tmp_path, payload))
+
     def test_round_trip(self, tmp_path):
         scenes = [synthesize_scenario("shift", 1.0, seed=k) for k in range(3)]
         path = tmp_path / "out.json"
