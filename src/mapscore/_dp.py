@@ -5,10 +5,9 @@ that backtracking can rely on exact equality against the recurrence.
 ``cross_distances`` sums squared coordinate differences in coordinate order,
 and ``assign_rows`` is the shortest augmenting path solver of scipy's
 ``linear_sum_assignment``, tie order included, so neither needs scipy at
-run time. The Python loops below are the reference. Three backends run them,
-chosen once at import; ``BACKEND`` names the one in use:
+run time. The Python loops below are the reference. One of two backends runs
+them, chosen once at import; ``BACKEND`` names the one in use:
 
-- ``"numba"``: the loops JIT-compiled by numba, when numba imports.
 - ``"c"``: ``_dp_kernels.c``, the same loops in C with the same additions,
   comparisons and tie order. It is built on first import with the
   interpreter's C compiler (``sysconfig`` ``CC``) into the package's
@@ -17,7 +16,7 @@ chosen once at import; ``BACKEND`` names the one in use:
   is rebuilt, and it is moved into place atomically, so concurrent first
   imports never load a half-written file.
 - ``"python"``: the loops themselves, which make a ``sospa`` call some forty
-  times slower. A ``RuntimeWarning`` says why neither compiled backend is
+  times slower. A ``RuntimeWarning`` says why the C kernels are not
   available.
 
 ``edit_table``, ``edit_backtrack``, ``frechet_table``, ``cross_distances``
@@ -39,12 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
+# Always False: there is no numba backend. perfbench/run.py environment() reads it.
+HAVE_NUMBA = False
 
 C_SOURCE = Path(__file__).with_name("_dp_kernels.c")
 C_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
@@ -310,7 +305,7 @@ def _compiled_or_python(compiler: str | None) -> tuple[str, tuple]:
         return "c", load_c_kernels(compiler)
     except KernelUnavailable as exc:
         warnings.warn(
-            "mapscore numeric kernels run as slow pure-Python loops; install numba or a C compiler "
+            "mapscore numeric kernels run as slow pure-Python loops; install a C compiler "
             f"for the fast path. Reason: {exc}",
             RuntimeWarning,
             stacklevel=2,
@@ -318,27 +313,6 @@ def _compiled_or_python(compiler: str | None) -> tuple[str, tuple]:
         return "python", (_edit_table_py, _edit_backtrack_py, _frechet_table_py, _cross_distances_py, _assign_rows_py)
 
 
-if HAVE_NUMBA:
-    BACKEND = "numba"
-    edit_table = njit(cache=True)(_edit_table_py)
-    edit_backtrack = njit(cache=True)(_edit_backtrack_py)
-    frechet_table = njit(cache=True)(_frechet_table_py)
-    cross_distances = njit(cache=True)(_cross_distances_py)
-    assign_rows = njit(cache=True)(_assign_rows_py)
-else:  # pragma: no cover - exercised only without numba
-    BACKEND, (edit_table, edit_backtrack, frechet_table, cross_distances, assign_rows) = _compiled_or_python(
-        sysconfig.get_config_var("CC")
-    )
-
-
-def warmup() -> None:
-    """Make the kernels ready so timed sections do not pay for it.
-
-    Under numba this triggers JIT compilation. The C backend was built and
-    loaded when this module was imported, so the call only exercises it.
-    """
-    probe = np.zeros((2, 2))
-    edit_backtrack(edit_table(probe, 1.0), probe, 1.0)
-    frechet_table(probe)
-    cross_distances(probe, probe)
-    assign_rows(probe)
+BACKEND, (edit_table, edit_backtrack, frechet_table, cross_distances, assign_rows) = _compiled_or_python(
+    sysconfig.get_config_var("CC")
+)

@@ -15,9 +15,10 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from ._dp import assign_rows, cross_distances
+from ._dp import assign_rows
 from .errors import InputError
 from .geometry import MetricParams
+from .sospa import _power_costs
 
 GOSPA_MAX_SIZE = 100
 
@@ -94,11 +95,7 @@ def gospa_unordered_reference(x_points, y_points, params: MetricParams) -> float
         return (gap * (n + m)) ** (1.0 / params.exponent_p)
     xs = np.asarray(x_points, dtype=np.float64).reshape(n, -1)
     ys = np.asarray(y_points, dtype=np.float64).reshape(m, -1)
-    if xs.shape[1] != ys.shape[1]:
-        raise InputError(f"dimension mismatch: {xs.shape[1]} vs {ys.shape[1]}")
-    powered = cross_distances(xs, ys)
-    if params.exponent_p != 1.0:
-        powered = powered**params.exponent_p
+    powered = _power_costs(xs, ys, params)
     pairs, _ = solve_assignment(powered - 2.0 * gap)
     raw = math.fsum(powered[i, j] for i, j in pairs)
     raw += gap * (n + m - 2 * len(pairs))

@@ -24,6 +24,8 @@ from .cyclic import cyclic_sospa, cyclic_sospa_directional_min
 from .dataset import (
     SCENARIO_KINDS,
     EvaluationReport,
+    _parse_points,
+    _require,
     evaluate,
     load_scenes,
     save_scenes,
@@ -56,19 +58,29 @@ def _default_workers() -> int:
 
 
 def _parse_geometry(spec: str, closed: bool) -> Polyline:
+    # A geometry file follows the scene schema's rules for an instance's
+    # points and closed flag, so its errors name the field (exit 3).
     if spec.startswith("@"):
-        payload = json.loads(Path(spec[1:]).read_text(encoding="utf-8"))
-        if not isinstance(payload, dict) or "points" not in payload:
-            raise InputError(f"{spec[1:]}: expected an object with a 'points' field")
-        return Polyline(np.asarray(payload["points"], dtype=float), payload.get("closed", closed))
+        name = spec[1:]
+        payload = json.loads(Path(name).read_text(encoding="utf-8"))
+        _require(isinstance(payload, dict), name, "must be an object")
+        _require("points" in payload, name, "missing field 'points'")
+        closed = payload.get("closed", closed)
+        _require(isinstance(closed, bool), f"{name}:closed", "must be a boolean")
+        return Polyline(_parse_points(payload["points"], f"{name}:points"), closed)
     pts = []
     for chunk in spec.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        values = [float(v) for v in chunk.split(",")]
+        try:
+            values = [float(v) for v in chunk.split(",")]
+        except ValueError:
+            raise InputError(f"point {chunk!r} has a coordinate that is not a number") from None
         if len(values) < 2:
             raise InputError(f"point {chunk!r} needs at least two coordinates")
+        if pts and len(values) != len(pts[0]):
+            raise InputError(f"point {chunk!r} has {len(values)} coordinates, but the first point has {len(pts[0])}")
         pts.append(values)
     if not pts:
         raise InputError("geometry has no points")

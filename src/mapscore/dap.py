@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
 from .assignment import solve_assignment
-from .cyclic import cyclic_sospa_directional_min
 from .errors import InputError
 from .geometry import MetricParams, Polyline
 from .sospa import normalized_from_value, sospa_directional_min
@@ -105,9 +104,6 @@ def pair_base_distance(a: Polyline, b: Polyline, params: MetricParams) -> tuple[
     """
     if a.closed != b.closed:
         return 1.0, False
-    if a.closed:
-        cyc = cyclic_sospa_directional_min(a, b, params)
-        return normalized_from_value(cyc.value, len(a), len(b), params), cyc.used_reversal
     res = sospa_directional_min(a, b, params)
     return normalized_from_value(res.value, len(a), len(b), params), res.used_reversal
 

@@ -81,9 +81,8 @@ def _parse_points(raw, path: str) -> np.ndarray:
             "must be a list of >= 2 numbers",
         )
         _require(all(math.isfinite(float(v)) for v in pt), f"{path}[{k}]", "coordinates must be finite")
-    pts = np.asarray(raw, dtype=np.float64)
-    _require(pts.ndim == 2, path, "points must all have the same dimensionality")
-    return pts
+        _require(len(pt) == len(raw[0]), f"{path}[{k}]", f"has {len(pt)} coordinates, but {path}[0] has {len(raw[0])}")
+    return np.asarray(raw, dtype=np.float64)
 
 
 def _parse_instance(raw, path: str, class_name: str, is_gt: bool) -> Instance:
@@ -453,6 +452,8 @@ def evaluate(
         raise InputError("unknown_class must be 'warn' or 'error'")
     if top_k is not None and top_k < 0:
         raise InputError(f"top_k must be >= 0, got {top_k}")
+    if workers < 1:
+        raise InputError(f"workers must be >= 1, got {workers}")
     vocab = VOCABULARY if vocabulary is None else vocabulary
 
     ap_thresholds: dict[str, tuple[float, ...]] = {}

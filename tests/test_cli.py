@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -92,6 +93,14 @@ class TestEval:
         assert "top_k" in stderr
         assert "mDAP" not in stdout
 
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_workers_below_one_exit_two(self, tmp_path, capsys, workers):
+        corpus = self.make_corpus(tmp_path, capsys)
+        code, stdout, stderr = run(capsys, "eval", "--input", str(corpus), "--metrics", "dap", "--workers", workers)
+        assert code == 2
+        assert "workers" in stderr
+        assert "mDAP" not in stdout
+
     def test_boolean_coordinate_exits_three(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"scenes": [{"sample_id": "s", "classes": {
@@ -155,6 +164,42 @@ class TestPair:
         code, stdout, _ = run(capsys, "pair", "--a", f"@{geom}", "--b", "0,0;1,0")
         assert code == 0
         assert "sospa: 0.0" in stdout
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"points": "abc"}, r"geom\.json:points: must be a non-empty list"),
+            ({"points": [[0, 0], [1, 0, 5]]}, r"geom\.json:points\[1\]: has 3 coordinates"),
+            ({"points": [[True, 0], [1, 0]]}, r"geom\.json:points\[0\]: must be a list of >= 2 numbers"),
+            ({"points": [[0, 0], [1, 0]], "closed": "yes"}, r"geom\.json:closed: must be a boolean"),
+            ([[0, 0], [1, 0]], r"geom\.json: must be an object"),
+            ({"closed": False}, r"geom\.json: missing field 'points'"),
+        ],
+        ids=["string-points", "ragged", "boolean-coordinate", "string-closed", "not-an-object", "no-points"],
+    )
+    def test_bad_geometry_file_exits_three(self, tmp_path, capsys, payload, field):
+        # The file follows the scene schema: nothing is coerced, and the error names the field.
+        geom = tmp_path / "geom.json"
+        geom.write_text(json.dumps(payload))
+        code, stdout, stderr = run(capsys, "pair", "--a", f"@{geom}", "--b", "0,0;1,0")
+        assert code == 3
+        assert stdout == ""
+        assert re.search(field, stderr), stderr
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("0,0;1,x", "point '1,x' has a coordinate that is not a number"),
+            ("0,0;1,0,5", "point '1,0,5' has 3 coordinates, but the first point has 2"),
+            ("0,0;1", "point '1' needs at least two coordinates"),
+        ],
+        ids=["not-a-number", "ragged", "one-coordinate"],
+    )
+    def test_bad_inline_point_exits_two(self, capsys, spec, message):
+        code, stdout, stderr = run(capsys, "pair", "--a", spec, "--b", "0,0;1,0")
+        assert code == 2
+        assert stdout == ""
+        assert message in stderr
 
 
 class TestWorkersEnv:

@@ -114,6 +114,13 @@ class TestLoadScenes:
         with pytest.raises(SchemaError, match=where + r"\.classes\.divider\.predictions\[0\]\.points: .*3-D.*2-D"):
             load_scenes(write(tmp_path, payload))
 
+    def test_ragged_points_rejected(self, tmp_path):
+        # numpy refuses a ragged list with a bare ValueError, which has no field path.
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["scenes"][0]["classes"]["divider"]["ground_truth"][0]["points"] = [[0, 0], [4, 0, 1]]
+        with pytest.raises(SchemaError, match=r"ground_truth\[0\]\.points\[1\]: has 3 coordinates"):
+            load_scenes(write(tmp_path, payload))
+
     def test_round_trip(self, tmp_path):
         scenes = [synthesize_scenario("shift", 1.0, seed=k) for k in range(3)]
         path = tmp_path / "out.json"
@@ -204,6 +211,12 @@ class TestEvaluate:
         scene = synthesize_scenario("spurious_instances", 4, seed=0)
         with pytest.raises(InputError, match="top_k"):
             evaluate([scene], PARAMS, (), metrics=("dap",), workers=1, top_k=-1)
+
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_workers_below_one_rejected(self, workers):
+        scene = synthesize_scenario("spurious_instances", 4, seed=0)
+        with pytest.raises(InputError, match="workers must be >= 1"):
+            evaluate([scene], PARAMS, (), metrics=("dap",), workers=workers)
 
     def test_no_ground_truth_warns_once_per_class(self, caplog):
         payload = json.loads(json.dumps(MINIMAL))
