@@ -2,6 +2,10 @@
 
 The DP kernels fill their tables with plain sequential float arithmetic so
 that backtracking can rely on exact equality against the recurrence.
+``cyclic_scan`` runs the edit DP over every rotation of a cost matrix's
+columns and returns the winning shift and its raw cost, summed with
+``math.fsum``'s correctly rounded algorithm, so one call replaces the
+polygon metric's per-rotation loop and picks the rotation that loop picks.
 ``cross_distances`` sums squared coordinate differences in coordinate order,
 and ``assign_rows`` is the shortest augmenting path solver of scipy's
 ``linear_sum_assignment``, tie order included, so neither needs scipy at
@@ -19,14 +23,15 @@ them, chosen once at import; ``BACKEND`` names the one in use:
   times slower. A ``RuntimeWarning`` says why the C kernels are not
   available.
 
-``edit_table``, ``edit_backtrack``, ``frechet_table``, ``cross_distances``
-and ``assign_rows`` are bound to the chosen backend and take the same
-arguments whichever it is.
+``edit_table``, ``edit_backtrack``, ``frechet_table``, ``cross_distances``,
+``assign_rows`` and ``cyclic_scan`` are bound to the chosen backend and take
+the same arguments whichever it is.
 """
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import shlex
 import shutil
@@ -185,6 +190,25 @@ def _assign_rows_py(cost: np.ndarray) -> np.ndarray:
     return col4row
 
 
+def _cyclic_scan_py(costs: np.ndarray, gap: float) -> tuple[int, float]:
+    # Rotation s reads columns s .. s + m - 1 of the matrix placed twice side
+    # by side. Only a table whose optimum beats the best raw cost so far is
+    # backtracked, and a strict < keeps the lowest shift on ties.
+    n, m = costs.shape
+    doubled = np.concatenate([costs, costs], axis=1)
+    best_shift, best_raw = 0, math.inf
+    for s in range(max(1, m)):
+        window = doubled[:, s:s + m]
+        table = _edit_table_py(window, gap)
+        if table[n, m] >= best_raw:
+            continue
+        pairs = _edit_backtrack_py(table, window, gap)
+        raw = math.fsum(window[pairs[:, 0], pairs[:, 1]].tolist()) + gap * (n + m - 2 * len(pairs))
+        if raw < best_raw:
+            best_shift, best_raw = s, raw
+    return best_shift, best_raw
+
+
 class KernelUnavailable(RuntimeError):
     """The C kernels could not be built or loaded; the message says why."""
 
@@ -194,7 +218,7 @@ def load_c_kernels(compiler: str | None) -> tuple:
 
     ``compiler`` is a command line such as ``sysconfig.get_config_var("CC")``.
     Returns ``(edit_table, edit_backtrack, frechet_table, cross_distances,
-    assign_rows)`` with the signatures of the Python loops; raises
+    assign_rows, cyclic_scan)`` with the signatures of the Python loops; raises
     :class:`KernelUnavailable` when there is no compiler, the compile fails or
     the library does not load.
     """
@@ -232,6 +256,8 @@ def load_c_kernels(compiler: str | None) -> tuple:
     lib.cross_distances.restype = None
     lib.assign_rows.argtypes = (f64p, i64, i64, i64p)
     lib.assign_rows.restype = i64
+    lib.cyclic_scan.argtypes = (f64p, i64, i64, f64, f64p)
+    lib.cyclic_scan.restype = i64
 
     # Inputs become writable C-contiguous float64 (callers pass views, and
     # ``from_buffer`` needs a writable buffer), and every shape is checked
@@ -296,7 +322,17 @@ def load_c_kernels(compiler: str | None) -> tuple:
             raise ValueError("cost matrix is infeasible")
         return col4row
 
-    return edit_table, edit_backtrack, frechet_table, cross_distances, assign_rows
+    def cyclic_scan(costs: np.ndarray, gap: float) -> tuple[int, float]:
+        costs = dense(costs)
+        n, m = costs.shape
+        doubled = np.concatenate([costs, costs], axis=1)
+        raw = f64()
+        shift = lib.cyclic_scan(ref(doubled), n, m, float(gap), raw)
+        if shift == -2:
+            raise MemoryError(f"no memory for the rotation scan of a cost matrix of shape {costs.shape}")
+        return shift, raw.value
+
+    return edit_table, edit_backtrack, frechet_table, cross_distances, assign_rows, cyclic_scan
 
 
 def _compiled_or_python(compiler: str | None) -> tuple[str, tuple]:
@@ -310,9 +346,16 @@ def _compiled_or_python(compiler: str | None) -> tuple[str, tuple]:
             RuntimeWarning,
             stacklevel=2,
         )
-        return "python", (_edit_table_py, _edit_backtrack_py, _frechet_table_py, _cross_distances_py, _assign_rows_py)
+        return "python", (
+            _edit_table_py,
+            _edit_backtrack_py,
+            _frechet_table_py,
+            _cross_distances_py,
+            _assign_rows_py,
+            _cyclic_scan_py,
+        )
 
 
-BACKEND, (edit_table, edit_backtrack, frechet_table, cross_distances, assign_rows) = _compiled_or_python(
+BACKEND, (edit_table, edit_backtrack, frechet_table, cross_distances, assign_rows, cyclic_scan) = _compiled_or_python(
     sysconfig.get_config_var("CC")
 )

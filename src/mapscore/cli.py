@@ -59,11 +59,16 @@ def _default_workers() -> int:
 
 def _parse_geometry(spec: str, closed: bool) -> Polyline:
     # A geometry file follows the scene schema's rules for an instance's
-    # points and closed flag, so its errors name the field (exit 3).
+    # points and closed flag, so its errors name the file and field (exit 3).
     if spec.startswith("@"):
         name = spec[1:]
-        payload = json.loads(Path(name).read_text(encoding="utf-8"))
+        try:
+            payload = json.loads(Path(name).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{name}: not valid JSON ({exc})") from exc
         _require(isinstance(payload, dict), name, "must be an object")
+        extras = set(payload) - {"points", "closed"}
+        _require(not extras, name, f"unknown fields {sorted(extras)}")
         _require("points" in payload, name, "missing field 'points'")
         closed = payload.get("closed", closed)
         _require(isinstance(closed, bool), f"{name}:closed", "must be a boolean")
@@ -172,14 +177,13 @@ def cmd_pair(args: argparse.Namespace) -> int:
         inner = both.inner
         print(f"cyclic sospa: {forward.value!r} (best shift of b: {forward.best_shift_y})")
         print(f"cyclic sospa (direction min): {both.value!r} reversed={both.used_reversal}")
-        print(f"normalized: {normalized_from_value(both.value, len(a), len(b), params)!r}")
     else:
         res = sospa(a, b, params)
         both = sospa_directional_min(a, b, params)
         inner = both
         print(f"sospa: {res.value!r} (raw power cost {res.raw_power_cost!r})")
         print(f"sospa (direction min): {both.value!r} reversed={both.used_reversal}")
-        print(f"normalized: {normalized_from_value(res.value, len(a), len(b), params)!r}")
+    print(f"normalized: {normalized_from_value(both.value, len(a), len(b), params)!r}")
     print(f"matched pairs (0-based{', one side reversed' if both.used_reversal else ''}): "
           f"{list(inner.assignment.pairs)}")
     print(f"unordered reference: {gospa_unordered_reference(a.points, b.points, params)!r}")
@@ -269,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 3
-    except (InputError, OSError, json.JSONDecodeError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

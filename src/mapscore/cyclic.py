@@ -3,7 +3,9 @@
 A polygon is compared as the equivalence class of its rotations. Rotating
 only one of the two sequences is sufficient to reach the global optimum, so
 the solver scans the rotations of the second argument and runs the open
-solver on each alignment. The validating oracle runs that one-sided scan
+solver on each alignment. The scan over all rotations is one kernel call,
+``_dp.cyclic_scan``; the winning rotation's result is then rebuilt as the
+open solver builds its own. The validating oracle runs that one-sided scan
 for every rotation of the first argument as well. The cyclic variant is not
 claimed to satisfy the triangle inequality. Callers wanting speed should
 pass the shorter polygon second: the scan costs O(|x| * |y|**2).
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dp import edit_table
+from ._dp import cyclic_scan, edit_table
 from .errors import InputError
 from .geometry import MetricParams, Polyline
 from .sospa import ORACLE_MAX_LEN, SospaResult, _assemble, _backtrack, _direction_min, _power_costs
@@ -51,20 +53,11 @@ def cyclic_sospa(
     _require_closed(y, "y")
     costs = _power_costs(x.points, y.points, params) if _costs is None else _costs
     gap = params.unmatched_cost
-    n, m = len(x), len(y)
-    doubled = np.concatenate([costs, costs], axis=1)
-    best: CyclicSospaResult | None = None
-    for s in range(max(1, m)):
-        shifted = np.ascontiguousarray(doubled[:, s:s + m])
-        table = edit_table(shifted, gap)
-        if best is not None and table[n, m] >= best.inner.raw_power_cost:
-            continue
-        pairs = _backtrack(table, shifted, gap)
-        result = _assemble(pairs, shifted, n, m, params)
-        if best is None or result.raw_power_cost < best.inner.raw_power_cost:
-            best = CyclicSospaResult(value=result.value, best_shift_y=s, inner=result)
-    assert best is not None
-    return best
+    shift, _ = cyclic_scan(costs, gap)
+    window = np.roll(costs, -shift, axis=1)
+    pairs = _backtrack(edit_table(window, gap), window, gap)
+    result = _assemble(pairs, window, len(x), len(y), params)
+    return CyclicSospaResult(value=result.value, best_shift_y=shift, inner=result)
 
 
 def cyclic_sospa_twosided_oracle(x: Polyline, y: Polyline, params: MetricParams) -> CyclicSospaResult:

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from mapscore.cli import main
+from mapscore.cli import _parse_geometry, main
+from mapscore.dap import pair_base_distance
+from mapscore.geometry import MetricParams
 
 
 def run(capsys, *argv):
@@ -146,6 +148,24 @@ class TestPair:
         assert code == 0
         assert "cyclic sospa: 0.0" in stdout
 
+    @pytest.mark.parametrize(
+        "a, b, flags",
+        [
+            ("0,0;1,0;2,0", "2,0;1,0;0,0", ()),
+            ("0,0;1,0;1,1;0,1", "0,1;1,1;1,0;0,0", ("--closed-a", "--closed-b")),
+        ],
+        ids=["open", "closed"],
+    )
+    def test_normalized_is_the_direction_minimum(self, capsys, a, b, flags):
+        # b is a traversed backwards: the direction minimum, and so the base distance, is 0.
+        code, stdout, _ = run(capsys, "pair", "--a", a, "--b", b, "--cutoff", "1.0", *flags)
+        closed = bool(flags)
+        base, _ = pair_base_distance(_parse_geometry(a, closed), _parse_geometry(b, closed), MetricParams(1.0))
+        assert code == 0
+        assert "(direction min): 0.0 reversed=True" in stdout
+        assert base == 0.0
+        assert f"normalized: {base!r}\n" in stdout
+
     def test_kind_mismatch_warns(self, capsys):
         code, stdout, _ = run(capsys, "pair", "--a", "0,0;1,0;1,1", "--b", "0,0;1,0;1,1", "--closed-b")
         assert code == 0
@@ -174,13 +194,24 @@ class TestPair:
             ({"points": [[0, 0], [1, 0]], "closed": "yes"}, r"geom\.json:closed: must be a boolean"),
             ([[0, 0], [1, 0]], r"geom\.json: must be an object"),
             ({"closed": False}, r"geom\.json: missing field 'points'"),
+            ({"points": [[0, 0], [1, 0]], "closd": True}, r"geom\.json: unknown fields \['closd'\]"),
+            ('{points: [[0, 0], [1, 0]]}', r"geom\.json: not valid JSON \(Expecting property name"),
         ],
-        ids=["string-points", "ragged", "boolean-coordinate", "string-closed", "not-an-object", "no-points"],
+        ids=[
+            "string-points",
+            "ragged",
+            "boolean-coordinate",
+            "string-closed",
+            "not-an-object",
+            "no-points",
+            "unknown-field",
+            "json-syntax",
+        ],
     )
     def test_bad_geometry_file_exits_three(self, tmp_path, capsys, payload, field):
-        # The file follows the scene schema: nothing is coerced, and the error names the field.
+        # The file follows the scene schema: nothing is coerced, and the error names the file and field.
         geom = tmp_path / "geom.json"
-        geom.write_text(json.dumps(payload))
+        geom.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         code, stdout, stderr = run(capsys, "pair", "--a", f"@{geom}", "--b", "0,0;1,0")
         assert code == 3
         assert stdout == ""

@@ -57,6 +57,39 @@ def test_c_edit_kernels_match_python_loops_bitwise(c_kernels):
         assert _same_bytes(edit_backtrack(table, costs, gap), _dp._edit_backtrack_py(reference, costs, gap))
 
 
+def _same_scan(got, want) -> bool:
+    # The shift, and the raw cost to the bit.
+    return type(got[0]) is int and got[0] == want[0] and got[1].hex() == want[1].hex()
+
+
+@needs_cc
+def test_c_cyclic_scan_matches_python_loop_bitwise(c_kernels):
+    cyclic_scan = c_kernels[5]
+    rng = np.random.default_rng(7)
+    thin = [(rng.uniform(0.0, 3.0, shape), 0.75) for shape in ((1, 6), (6, 1), (1, 1), (0, 1), (1, 0))]
+    for costs, gap in [*_cases(), *thin]:
+        assert _same_scan(cyclic_scan(costs, gap), _dp._cyclic_scan_py(costs, gap)), (costs.tolist(), gap)
+
+
+@needs_cc
+@pytest.mark.parametrize(
+    "diagonal, gap, running, exact",
+    [
+        # A running sum drops both 1e-16 terms; math.fsum keeps them.
+        ((1.0, 1e-16, 1e-16), 1.0, 1.0, 1.0000000000000002),
+        # 1 + 1e16 is a half-way case that the 1e-16 breaks upward.
+        ((1e-16, 1.0, 1e16), 1e16, 1e16, 1.0000000000000002e16),
+    ],
+)
+def test_c_cyclic_scan_sums_matched_costs_exactly(c_kernels, diagonal, gap, running, exact):
+    # Only the diagonal pays for a match, so rotation 0 matches every point.
+    costs = np.full((3, 3), 4.0 * gap)
+    np.fill_diagonal(costs, diagonal)
+    assert diagonal[0] + diagonal[1] + diagonal[2] == running != exact
+    assert _same_scan(_dp._cyclic_scan_py(costs, gap), (0, exact))
+    assert _same_scan(c_kernels[5](costs, gap), (0, exact))
+
+
 @needs_cc
 def test_c_frechet_table_matches_python_loop_bitwise(c_kernels):
     frechet_table = c_kernels[2]
@@ -68,13 +101,15 @@ def test_c_frechet_table_matches_python_loop_bitwise(c_kernels):
 @needs_cc
 def test_c_wrappers_take_views_and_reject_what_c_would_overrun(c_kernels):
     edit_table, edit_backtrack, frechet_table = c_kernels[:3]
+    cyclic_scan = c_kernels[5]
     rng = np.random.default_rng(1)
     base = rng.uniform(0.0, 3.0, (7, 9))
     frozen = base.copy()
     frozen.flags.writeable = False
-    for view in (np.roll(base, -3, axis=1), base.T, base[::2, 1:], base.astype(np.float32), frozen):
+    for view in (np.roll(base, -3, axis=1), base.T, base[::2, 1:], base[:, ::-1], base.astype(np.float32), frozen):
         dense = np.ascontiguousarray(view, dtype=np.float64)
         assert _same_bytes(edit_table(view, 0.5), _dp._edit_table_py(dense, 0.5))
+        assert _same_scan(cyclic_scan(view, 0.5), _dp._cyclic_scan_py(dense, 0.5))
         assert _same_bytes(frechet_table(view), _dp._frechet_table_py(dense))
         table = edit_table(view, 0.5)
         assert _same_bytes(edit_backtrack(table, view, 0.5), _dp._edit_backtrack_py(table, dense, 0.5))
@@ -132,7 +167,7 @@ def test_c_assign_rows_matches_python_loop_bitwise(c_kernels):
 
 @needs_cc
 def test_c_point_and_assignment_wrappers_take_views_and_reject_what_c_would_overrun(c_kernels):
-    cross_distances, assign_rows = c_kernels[3:]
+    cross_distances, assign_rows = c_kernels[3:5]
     rng = np.random.default_rng(4)
     base = rng.uniform(-3.0, 3.0, (7, 9))
     frozen = base.copy()
@@ -204,13 +239,21 @@ def test_cross_distances_equal_cdist_bitwise():
 
 
 def test_bound_backend_is_named():
-    kernels = (_dp.edit_table, _dp.edit_backtrack, _dp.frechet_table, _dp.cross_distances, _dp.assign_rows)
+    kernels = (
+        _dp.edit_table,
+        _dp.edit_backtrack,
+        _dp.frechet_table,
+        _dp.cross_distances,
+        _dp.assign_rows,
+        _dp.cyclic_scan,
+    )
     python_loops = (
         _dp._edit_table_py,
         _dp._edit_backtrack_py,
         _dp._frechet_table_py,
         _dp._cross_distances_py,
         _dp._assign_rows_py,
+        _dp._cyclic_scan_py,
     )
     assert _dp.BACKEND in ("c", "python")
     assert (_dp.BACKEND == "python") == (kernels == python_loops)
@@ -231,6 +274,7 @@ def test_missing_compiler_falls_back_to_python_loops_with_a_warning(tmp_path):
         _dp._frechet_table_py,
         _dp._cross_distances_py,
         _dp._assign_rows_py,
+        _dp._cyclic_scan_py,
     )
 
 
